@@ -225,8 +225,7 @@ void durable_store::recover_log(result_store& store,
         const std::string_view payload(raw->data() + offset + 8, length);
         if (crc32(payload) != recorded_crc) break;
         try {
-          staged.push_back(
-              parse_store_entry(json_parse(std::string(payload))));
+          staged.push_back(parse_store_entry(payload));
         } catch (const std::exception&) {
           break;  // CRC-valid but unparseable: treat as end of commit
         }

@@ -30,11 +30,19 @@
 // back to its header -- a crash between the two merely replays records
 // into a store that already contains them.
 //
-// Recovery (open) never aborts on bad state, it degrades: a snapshot or
-// log header that fails validation is quarantined and the boot continues
-// cold; a torn/corrupt log tail replays the longest valid record prefix,
-// quarantines the invalid tail bytes, and truncates the log to the
-// prefix. Every degradation is reported in recovery_report::warnings.
+// Recovery (open) streams. The snapshot goes through
+// result_store::load_json, which decodes each entry straight from the
+// file text with util/json's pull reader and stages it before the store
+// is touched. Each log record's payload is decoded in place by
+// parse_store_entry -- a view into the log bytes, no copy and no document
+// tree. Peak memory is the file text plus the staged entries.
+//
+// Recovery never aborts on bad state, it degrades: a snapshot or log
+// header that fails validation is quarantined and the boot continues
+// cold; a torn/corrupt log tail replays the longest valid record prefix
+// (a record ends the prefix when it is short, fails its CRC, or does not
+// decode), quarantines the invalid tail bytes, and truncates the log to
+// the prefix. Every degradation is reported in recovery_report::warnings.
 //
 // The store is not internally synchronized; the owning sweep_service
 // serializes access under its store mutex.

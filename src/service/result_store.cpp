@@ -1,7 +1,10 @@
 #include "service/result_store.h"
 
+#include <algorithm>
+#include <charconv>
 #include <cmath>
 #include <cstring>
+#include <string_view>
 #include <utility>
 #include <vector>
 
@@ -24,24 +27,266 @@ constexpr int store_format_version = 2;
 // is parsed as a double, which cannot represent every 64-bit integer.
 std::string u64_string(std::uint64_t value) { return std::to_string(value); }
 
-std::uint64_t parse_u64(const json_value& node, const std::string& name) {
-  const std::string& text = node.at(name).as_string();
-  NWDEC_EXPECTS(!text.empty() &&
-                    text.find_first_not_of("0123456789") == std::string::npos,
-                "field '" + name + "' is not a decimal u64 string");
-  return std::stoull(text);
+// ---- typed field reads for the streaming decoders. Each consumes one
+// member value from the reader and throws invalid_argument_error naming
+// the field when the value has the wrong kind or range.
+
+[[noreturn]] void field_error(const json_reader& reader, std::string_view name,
+                              const char* expected) {
+  throw invalid_argument_error("field '" + std::string(name) + "' is not " +
+                               expected + " (offset " +
+                               std::to_string(reader.offset()) + ")");
 }
 
-double get_number(const json_value& node, const std::string& name) {
-  return node.at(name).as_number();
+double read_number(json_reader& reader, std::string_view name) {
+  if (reader.peek() != json_value::kind::number) {
+    field_error(reader, name, "a number");
+  }
+  return reader.read_number();
 }
 
-std::size_t get_size(const json_value& node, const std::string& name) {
-  const double value = node.at(name).as_number();
-  NWDEC_EXPECTS(value >= 0.0 && std::floor(value) == value &&
-                    value <= 9007199254740992.0,  // 2^53
-                "field '" + name + "' is not a non-negative integer");
+std::size_t read_size(json_reader& reader, std::string_view name) {
+  const double value = read_number(reader, name);
+  if (!(value >= 0.0 && std::floor(value) == value &&
+        value <= 9007199254740992.0)) {  // 2^53
+    field_error(reader, name, "a non-negative integer");
+  }
   return static_cast<std::size_t>(value);
+}
+
+bool read_bool(json_reader& reader, std::string_view name) {
+  if (reader.peek() != json_value::kind::boolean) {
+    field_error(reader, name, "a boolean");
+  }
+  return reader.read_bool();
+}
+
+std::string_view read_string(json_reader& reader, std::string_view name) {
+  if (reader.peek() != json_value::kind::string) {
+    field_error(reader, name, "a string");
+  }
+  return reader.read_string();
+}
+
+std::uint64_t read_u64(json_reader& reader, std::string_view name) {
+  const std::string_view text = read_string(reader, name);
+  std::uint64_t value = 0;
+  const char* last = text.data() + text.size();
+  const std::from_chars_result result =
+      std::from_chars(text.data(), last, value);
+  // from_chars on an unsigned type takes digits only: no sign, no space.
+  if (text.empty() || result.ec != std::errc{} || result.ptr != last) {
+    field_error(reader, name, "a decimal u64 string");
+  }
+  return value;
+}
+
+// Member names -> dense indices, so a decoder tracks which members it has
+// seen in one bitmask. Unknown members map to -1 and are skipped. The
+// names are listed in writer order and the search starts at `next`, the
+// slot after the previous match, so a canonical document costs one
+// compare per member while any order still decodes.
+template <std::size_t N>
+int member_index(const std::string_view (&names)[N], std::string_view key,
+                 std::size_t& next) {
+  for (std::size_t k = 0; k < N; ++k) {
+    const std::size_t at = (next + k) % N;
+    if (names[at] == key) {
+      next = at + 1;
+      return static_cast<int>(at);
+    }
+  }
+  return -1;
+}
+
+template <std::size_t N>
+void require_members(const std::string_view (&names)[N], std::uint32_t seen,
+                     std::uint32_t required, const char* where) {
+  const std::uint32_t missing = required & ~seen;
+  if (missing == 0) return;
+  std::size_t first = 0;
+  while ((missing & (1u << first)) == 0) ++first;
+  throw not_found_error(std::string(where) + " has no member '" +
+                        std::string(names[first]) + "'");
+}
+
+constexpr std::uint32_t bit(int index) { return 1u << index; }
+
+// The members of write_stored_result, in writer order. The Wilson bounds
+// and standard error are derived from (mean, trials) and not read back.
+enum result_member {
+  m_code, m_radix, m_length, m_nanowires, m_sigma_vt, m_mc_trials,
+  m_has_defects, m_broken_probability, m_bridge_probability, m_omega, m_phi,
+  m_average_variability, m_contact_groups, m_expected_discarded,
+  m_nanowire_yield, m_crosspoint_yield, m_effective_bits, m_total_area_nm2,
+  m_bit_area_nm2, m_has_monte_carlo, m_mc_nanowire_yield, m_mc_ci_low,
+  m_mc_ci_high, m_mc_trials_used
+};
+constexpr std::string_view result_members[] = {
+    "code", "radix", "length", "nanowires", "sigma_vt", "mc_trials",
+    "has_defects", "broken_probability", "bridge_probability", "omega", "phi",
+    "average_variability", "contact_groups", "expected_discarded",
+    "nanowire_yield", "crosspoint_yield", "effective_bits", "total_area_nm2",
+    "bit_area_nm2", "has_monte_carlo", "mc_nanowire_yield", "mc_ci_low",
+    "mc_ci_high", "mc_trials_used"};
+constexpr std::uint32_t defect_members =
+    bit(m_broken_probability) | bit(m_bridge_probability);
+constexpr std::uint32_t monte_carlo_members =
+    bit(m_mc_nanowire_yield) | bit(m_mc_ci_low) | bit(m_mc_ci_high) |
+    bit(m_mc_trials_used);
+constexpr std::uint32_t always_required =
+    ((bit(m_mc_trials_used) << 1) - 1) & ~defect_members &
+    ~monte_carlo_members;
+
+// Inverse of write_stored_result, straight from the reader. Members come
+// in any order (a repeated member keeps its last value); the defect and
+// Monte-Carlo members are required exactly when their flag is set.
+stored_result read_stored_result(json_reader& reader) {
+  if (reader.peek() != json_value::kind::object) {
+    field_error(reader, "result", "an object");
+  }
+  stored_result result;
+  core::sweep_request& request = result.request;
+  core::design_evaluation& e = result.evaluation;
+  bool has_defects = false;
+  fab::defect_params defects;
+  double mc_nanowire_yield = 0.0;
+  double mc_ci_low = 0.0;
+  double mc_ci_high = 0.0;
+  std::size_t mc_trials_used = 0;
+
+  std::uint32_t seen = 0;
+  std::size_t next = 0;
+  std::string_view key;
+  reader.begin_object();
+  while (reader.next_member(key)) {
+    const int member = member_index(result_members, key, next);
+    if (member < 0) {
+      reader.skip_value();
+      continue;
+    }
+    seen |= bit(member);
+    const std::string_view name = result_members[member];
+    switch (static_cast<result_member>(member)) {
+      case m_code:
+        request.design.type =
+            codes::parse_code_type(std::string(read_string(reader, name)));
+        break;
+      case m_radix:
+        request.design.radix = static_cast<unsigned>(read_size(reader, name));
+        break;
+      case m_length: request.design.length = read_size(reader, name); break;
+      case m_nanowires: request.nanowires = read_size(reader, name); break;
+      case m_sigma_vt: request.sigma_vt = read_number(reader, name); break;
+      case m_mc_trials: request.mc_trials = read_size(reader, name); break;
+      case m_has_defects: has_defects = read_bool(reader, name); break;
+      case m_broken_probability:
+        defects.broken_probability = read_number(reader, name);
+        break;
+      case m_bridge_probability:
+        defects.bridge_probability = read_number(reader, name);
+        break;
+      case m_omega: e.code_space = read_size(reader, name); break;
+      case m_phi: e.fabrication_steps = read_size(reader, name); break;
+      case m_average_variability:
+        e.average_variability = read_number(reader, name);
+        break;
+      case m_contact_groups: e.contact_groups = read_size(reader, name); break;
+      case m_expected_discarded:
+        e.expected_discarded = read_number(reader, name);
+        break;
+      case m_nanowire_yield:
+        e.nanowire_yield = read_number(reader, name);
+        break;
+      case m_crosspoint_yield:
+        e.crosspoint_yield = read_number(reader, name);
+        break;
+      case m_effective_bits:
+        e.effective_bits = read_number(reader, name);
+        break;
+      case m_total_area_nm2:
+        e.total_area_nm2 = read_number(reader, name);
+        break;
+      case m_bit_area_nm2:
+        e.bit_area_nm2 = read_number(reader, name);
+        break;
+      case m_has_monte_carlo:
+        e.has_monte_carlo = read_bool(reader, name);
+        break;
+      case m_mc_nanowire_yield:
+        mc_nanowire_yield = read_number(reader, name);
+        break;
+      case m_mc_ci_low: mc_ci_low = read_number(reader, name); break;
+      case m_mc_ci_high: mc_ci_high = read_number(reader, name); break;
+      case m_mc_trials_used: mc_trials_used = read_size(reader, name); break;
+    }
+  }
+
+  std::uint32_t required = always_required;
+  if (has_defects) required |= defect_members;
+  if (e.has_monte_carlo) required |= monte_carlo_members;
+  require_members(result_members, seen, required, "stored result");
+  if (has_defects) request.defects = defects;
+  e.point = request.design;
+  if (e.has_monte_carlo) {
+    // write_stored_result derives the Wilson bounds and the standard error
+    // from (mean, trials): an entry it could not render is refused here
+    // rather than failing every later response or snapshot that holds it.
+    if (!(mc_trials_used > 0 && mc_nanowire_yield >= 0.0 &&
+          mc_nanowire_yield <= 1.0)) {
+      throw invalid_argument_error(
+          "stored result has a Monte-Carlo mean outside [0, 1] or no trials");
+    }
+    e.mc_nanowire_yield = mc_nanowire_yield;
+    e.mc_ci_low = mc_ci_low;
+    e.mc_ci_high = mc_ci_high;
+    result.mc_trials_used = mc_trials_used;
+  }
+  return result;
+}
+
+// Inverse of write_store_entry, straight from the reader (see
+// parse_store_entry in the header for the rules).
+parsed_store_entry read_store_entry(json_reader& reader) {
+  enum entry_member { m_fingerprint, m_m2, m_budget_target, m_result };
+  static constexpr std::string_view entry_members[] = {
+      "fingerprint", "m2", "budget_target", "result"};
+  if (reader.peek() != json_value::kind::object) {
+    field_error(reader, "entries", "an array of objects");
+  }
+  parsed_store_entry entry;
+  // The entry-level members may precede "result"; they are applied after
+  // the object closes so a later "result" cannot overwrite them.
+  double m2 = 0.0;
+  double budget_target = 0.0;
+  std::uint32_t seen = 0;
+  std::size_t next = 0;
+  std::string_view key;
+  reader.begin_object();
+  while (reader.next_member(key)) {
+    const int member = member_index(entry_members, key, next);
+    if (member < 0) {
+      reader.skip_value();
+      continue;
+    }
+    seen |= bit(member);
+    const std::string_view name = entry_members[member];
+    switch (static_cast<entry_member>(member)) {
+      case m_fingerprint: entry.fingerprint = read_u64(reader, name); break;
+      case m_m2: m2 = read_number(reader, name); break;
+      case m_budget_target: budget_target = read_number(reader, name); break;
+      case m_result: entry.result = read_stored_result(reader); break;
+    }
+  }
+  require_members(entry_members, seen, (bit(m_result) << 1) - 1,
+                  "store entry");
+  entry.result.mc_m2 = m2;
+  entry.result.budget_target = budget_target;
+  const std::uint64_t recomputed = core::fingerprint(entry.result.request);
+  NWDEC_EXPECTS(entry.fingerprint == recomputed,
+                "store entry fingerprint mismatch (incompatible "
+                "fingerprint scheme or corrupted file)");
+  return entry;
 }
 
 }  // namespace
@@ -121,43 +366,6 @@ void write_stored_result(json_writer& json, const stored_result& result) {
   json.end_object();
 }
 
-stored_result parse_stored_result(const json_value& node) {
-  stored_result result;
-  core::sweep_request& request = result.request;
-  request.design.type = codes::parse_code_type(node.at("code").as_string());
-  request.design.radix = static_cast<unsigned>(get_size(node, "radix"));
-  request.design.length = get_size(node, "length");
-  request.nanowires = get_size(node, "nanowires");
-  request.sigma_vt = get_number(node, "sigma_vt");
-  request.mc_trials = get_size(node, "mc_trials");
-  if (node.at("has_defects").as_bool()) {
-    request.defects = fab::defect_params{
-        get_number(node, "broken_probability"),
-        get_number(node, "bridge_probability")};
-  }
-
-  core::design_evaluation& e = result.evaluation;
-  e.point = request.design;
-  e.code_space = get_size(node, "omega");
-  e.fabrication_steps = get_size(node, "phi");
-  e.average_variability = get_number(node, "average_variability");
-  e.contact_groups = get_size(node, "contact_groups");
-  e.expected_discarded = get_number(node, "expected_discarded");
-  e.nanowire_yield = get_number(node, "nanowire_yield");
-  e.crosspoint_yield = get_number(node, "crosspoint_yield");
-  e.effective_bits = get_number(node, "effective_bits");
-  e.total_area_nm2 = get_number(node, "total_area_nm2");
-  e.bit_area_nm2 = get_number(node, "bit_area_nm2");
-  e.has_monte_carlo = node.at("has_monte_carlo").as_bool();
-  if (e.has_monte_carlo) {
-    e.mc_nanowire_yield = get_number(node, "mc_nanowire_yield");
-    e.mc_ci_low = get_number(node, "mc_ci_low");
-    e.mc_ci_high = get_number(node, "mc_ci_high");
-    result.mc_trials_used = get_size(node, "mc_trials_used");
-  }
-  return result;
-}
-
 void write_store_entry(json_writer& json, std::uint64_t fingerprint,
                        const stored_result& result) {
   // The resumable moments and target provenance ride at the entry level:
@@ -173,16 +381,10 @@ void write_store_entry(json_writer& json, std::uint64_t fingerprint,
   json.end_object();
 }
 
-parsed_store_entry parse_store_entry(const json_value& node) {
-  parsed_store_entry entry;
-  entry.fingerprint = parse_u64(node, "fingerprint");
-  entry.result = parse_stored_result(node.at("result"));
-  entry.result.mc_m2 = get_number(node, "m2");
-  entry.result.budget_target = get_number(node, "budget_target");
-  const std::uint64_t recomputed = core::fingerprint(entry.result.request);
-  NWDEC_EXPECTS(entry.fingerprint == recomputed,
-                "store entry fingerprint mismatch (incompatible "
-                "fingerprint scheme or corrupted file)");
+parsed_store_entry parse_store_entry(std::string_view text) {
+  json_reader reader(text);
+  parsed_store_entry entry = read_store_entry(reader);
+  reader.finish();
   return entry;
 }
 
@@ -283,37 +485,96 @@ std::string result_store::to_json(const store_header& header) const {
   return json.end_array().end_object().str();
 }
 
-void result_store::load_json(const std::string& text,
+void result_store::load_json(std::string_view text,
                              const store_header& expected) {
-  const json_value document = json_parse(text);
-  NWDEC_EXPECTS(document.find("nwdec_result_store") != nullptr &&
-                    get_size(document, "nwdec_result_store") ==
-                        static_cast<std::size_t>(store_format_version),
-                "not a result-store document (or an unknown format version)");
+  enum document_member {
+    m_version, m_seed, m_mode, m_raw_bits, m_tech_fingerprint,
+    m_budget_fingerprint, m_entries
+  };
+  static constexpr std::string_view document_members[] = {
+      "nwdec_result_store", "seed", "mode", "raw_bits", "tech_fingerprint",
+      "budget_fingerprint", "entries"};
+  constexpr std::uint32_t header_members = bit(m_entries) - 1;
 
-  store_header header;
-  header.seed = parse_u64(document, "seed");
-  header.mode = parse_mc_mode(document.at("mode").as_string());
-  header.raw_bits = get_size(document, "raw_bits");
-  header.tech_fingerprint = parse_u64(document, "tech_fingerprint");
-  header.budget_fingerprint = parse_u64(document, "budget_fingerprint");
-  if (!(header == expected)) {
-    throw invalid_argument_error(
-        "result-store header mismatch: the cache was computed under a "
-        "different (seed, mode, raw_bits, technology, budget) "
-        "configuration; refusing to serve stale results");
+  json_reader reader(text);
+  if (reader.peek() != json_value::kind::object) {
+    // Finish the grammar check first, so malformed JSON still reports as
+    // json_parse_error.
+    reader.skip_value();
+    reader.finish();
+    throw invalid_argument_error("not a result-store document");
   }
+
+  std::size_t version = 0;
+  store_header header;
+  std::uint32_t seen = 0;
+  const auto check_header = [&] {
+    NWDEC_EXPECTS((seen & bit(m_version)) != 0 &&
+                      version == static_cast<std::size_t>(
+                                     store_format_version),
+                  "not a result-store document (or an unknown format "
+                  "version)");
+    require_members(document_members, seen, header_members,
+                    "result-store document");
+    if (!(header == expected)) {
+      throw invalid_argument_error(
+          "result-store header mismatch: the cache was computed under a "
+          "different (seed, mode, raw_bits, technology, budget) "
+          "configuration; refusing to serve stale results");
+    }
+  };
 
   // Stage every entry before touching the store: a corrupt entry anywhere
   // in the file must leave the current contents intact (a partial load
   // would otherwise be persisted back over the good file at shutdown).
   std::vector<parsed_store_entry> staged;
-  staged.reserve(document.at("entries").items().size());
-  for (const json_value& entry : document.at("entries").items()) {
-    staged.push_back(parse_store_entry(entry));
+  std::size_t next = 0;
+  std::string_view key;
+  reader.begin_object();
+  while (reader.next_member(key)) {
+    const int member = member_index(document_members, key, next);
+    if (member < 0) {
+      reader.skip_value();
+      continue;
+    }
+    seen |= bit(member);
+    const std::string_view name = document_members[member];
+    switch (static_cast<document_member>(member)) {
+      case m_version: version = read_size(reader, name); break;
+      case m_seed: header.seed = read_u64(reader, name); break;
+      case m_mode:
+        header.mode = parse_mc_mode(std::string(read_string(reader, name)));
+        break;
+      case m_raw_bits: header.raw_bits = read_size(reader, name); break;
+      case m_tech_fingerprint:
+        header.tech_fingerprint = read_u64(reader, name);
+        break;
+      case m_budget_fingerprint:
+        header.budget_fingerprint = read_u64(reader, name);
+        break;
+      case m_entries:
+        // The writer puts the header first: refuse a foreign configuration
+        // before decoding any entry. The check repeats after the document
+        // closes, so a header member repeated later is still checked.
+        if ((seen & header_members) == header_members) check_header();
+        if (reader.peek() != json_value::kind::array) {
+          field_error(reader, name, "an array");
+        }
+        staged.clear();
+        reader.begin_array();
+        while (reader.next_element()) {
+          staged.push_back(read_store_entry(reader));
+        }
+        break;
+    }
   }
+  reader.finish();
+  check_header();
+  require_members(document_members, seen, bit(m_entries),
+                  "result-store document");
 
   clear();
+  index_.reserve(std::min(staged.size(), capacity_ + 1));
   for (parsed_store_entry& entry : staged) {
     insert(entry.fingerprint, std::move(entry.result));
   }

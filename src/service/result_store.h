@@ -20,11 +20,22 @@
 //     byte-identically -- the daemon's cold/warm/persisted response
 //     identity rests on this.
 //
+// Recovery streams. load_json walks the document once with util/json's
+// pull reader and decodes each entry straight into a parsed_store_entry:
+// typed members, unknown members skipped, required members enforced. No
+// document tree is built, so the memory a load needs is the file text
+// plus the staged entries. The durable store's log replay decodes each
+// record payload in place through the same entry decoder
+// (parse_store_entry).
+//
 // A cached result is only valid under the run configuration it was computed
-// with: the store_header captures (seed, mode, raw_bits, budget fingerprint)
-// and load refuses a file whose header differs. Entries additionally carry
-// their fingerprint, which load recomputes from the parsed request and
+// with: the store_header captures (seed, mode, raw_bits, technology and
+// budget fingerprints) and load refuses a file whose header differs, or
+// whose format version is not the current one. Entries additionally carry
+// their fingerprint, which load recomputes from the decoded request and
 // verifies, so a file from an incompatible fingerprint scheme fails loudly.
+// Every entry is staged before the store is touched: a load that throws
+// leaves the previous contents intact.
 //
 // The store is not internally synchronized; the owning service serializes
 // access (the daemon is a single request loop).
@@ -34,6 +45,7 @@
 #include <cstdint>
 #include <list>
 #include <string>
+#include <string_view>
 #include <unordered_map>
 
 #include "core/design_point.h"
@@ -145,10 +157,14 @@ class result_store {
   /// load-reinsert pass reproduces the recency order exactly.
   std::string to_json(const store_header& header) const;
 
-  /// Replaces the store's contents with a document produced by to_json().
-  /// Throws on malformed input, on a header mismatch with `expected`, and
-  /// on an entry whose recomputed fingerprint differs from the recorded one.
-  void load_json(const std::string& text, const store_header& expected);
+  /// Replaces the store's contents with a document produced by to_json(),
+  /// each entry decoded as parse_store_entry does (see the header
+  /// comment). Throws json_parse_error on malformed JSON,
+  /// invalid_argument_error on a header or version mismatch with
+  /// `expected`, not_found_error on a missing header member, and what
+  /// parse_store_entry throws for an entry it refuses; the store is
+  /// untouched when it throws.
+  void load_json(std::string_view text, const store_header& expected);
 
   /// to_json() straight to a file; throws on I/O failure.
   void save_file(const std::string& path, const store_header& header) const;
@@ -187,9 +203,6 @@ class result_store {
 /// drift apart).
 void write_stored_result(json_writer& json, const stored_result& result);
 
-/// Inverse of write_stored_result; throws on missing/mistyped fields.
-stored_result parse_stored_result(const json_value& node);
-
 /// Serializes one persisted store entry -- fingerprint + resume moments +
 /// budget provenance wrapped around the canonical result payload. This is
 /// the element format of BOTH the snapshot document's "entries" array and
@@ -204,10 +217,17 @@ struct parsed_store_entry {
   stored_result result;
 };
 
-/// Inverse of write_store_entry. Throws on missing/mistyped fields and on
-/// a recorded fingerprint that differs from the one recomputed over the
-/// parsed request (an incompatible fingerprint scheme or corruption).
-parsed_store_entry parse_store_entry(const json_value& node);
+/// Inverse of write_store_entry over one complete document (a durable-store
+/// log record payload), decoded straight from util/json's json_reader
+/// without building a tree -- the same decoder load_json runs on every
+/// snapshot entry. Members may come in any order and unknown ones are
+/// skipped. Throws json_parse_error on malformed JSON (trailing content
+/// included), not_found_error on a missing member, invalid_argument_error
+/// on a mistyped one, on a Monte-Carlo block that write_stored_result
+/// could not render (mean outside [0, 1], no trials), and on a recorded
+/// fingerprint that differs from the one recomputed over the decoded
+/// request (an incompatible fingerprint scheme or corruption).
+parsed_store_entry parse_store_entry(std::string_view text);
 
 /// mc_mode <-> protocol string ("window" / "operational").
 const char* mc_mode_name(yield::mc_mode mode);

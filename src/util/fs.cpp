@@ -49,7 +49,14 @@ std::optional<std::string> read_file(const std::string& path) {
     if (errno == ENOENT) return std::nullopt;
     throw_errno("cannot open", path);
   }
+  // Size the buffer once from fstat, so the chunked reads below append
+  // into reserved capacity instead of regrowing it (a file that grows
+  // meanwhile still reads in full).
   std::string contents;
+  struct stat info {};
+  if (::fstat(fd, &info) == 0 && S_ISREG(info.st_mode)) {
+    contents.reserve(static_cast<std::size_t>(info.st_size));
+  }
   char chunk[1 << 16];
   for (;;) {
     const ssize_t n = ::read(fd, chunk, sizeof(chunk));

@@ -9,9 +9,9 @@
 
 namespace nwdec {
 
-std::string json_escape(const std::string& text) {
-  std::string out;
-  out.reserve(text.size());
+namespace {
+
+void append_escaped(std::string& out, std::string_view text) {
   for (const char c : text) {
     switch (c) {
       case '"': out += "\\\""; break;
@@ -30,6 +30,14 @@ std::string json_escape(const std::string& text) {
         }
     }
   }
+}
+
+}  // namespace
+
+std::string json_escape(std::string_view text) {
+  std::string out;
+  out.reserve(text.size());
+  append_escaped(out, text);
   return out;
 }
 
@@ -76,7 +84,7 @@ void json_value::set(const std::string& name, json_value value) {
   members_.emplace_back(name, std::move(value));
 }
 
-const json_value* json_value::find(const std::string& name) const {
+const json_value* json_value::find(std::string_view name) const {
   if (kind_ != kind::object) return nullptr;
   for (const member& entry : members_) {
     if (entry.first == name) return &entry.second;
@@ -90,11 +98,12 @@ json_value json_value::object(std::vector<member> members) {
   return out;
 }
 
-const json_value& json_value::at(const std::string& name) const {
+const json_value& json_value::at(std::string_view name) const {
   NWDEC_EXPECTS(kind_ == kind::object, "at() on a non-object json_value");
   const json_value* found = find(name);
   if (found == nullptr) {
-    throw not_found_error("json object has no member '" + name + "'");
+    throw not_found_error("json object has no member '" + std::string(name) +
+                          "'");
   }
   return *found;
 }
@@ -112,261 +121,359 @@ bool operator==(const json_value& a, const json_value& b) {
   return false;
 }
 
+// ----------------------------------------------------------- json_reader
+
+namespace {
+
+// Deep enough for any nwdec document; bounds the recursion of the tree
+// builder and skip_value() so a hostile request cannot overflow the stack.
+constexpr std::size_t max_depth = 128;
+
+bool is_digit(char c) { return c >= '0' && c <= '9'; }
+
+}  // namespace
+
+void json_reader::fail(const std::string& what) const {
+  throw json_parse_error("JSON parse error at offset " +
+                         std::to_string(offset()) + ": " + what);
+}
+
+void json_reader::skip_whitespace() {
+  while (at_ != end_ &&
+         (*at_ == ' ' || *at_ == '\n' || *at_ == '\t' || *at_ == '\r')) {
+    ++at_;
+  }
+}
+
+char json_reader::start_value() {
+  skip_whitespace();
+  if (depth_ > max_depth) fail("document nests deeper than 128 levels");
+  if (at_ == end_) fail("unexpected end of input");
+  return *at_;
+}
+
+json_value::kind json_reader::peek() {
+  const char c = start_value();
+  switch (c) {
+    case '{': return json_value::kind::object;
+    case '[': return json_value::kind::array;
+    case '"': return json_value::kind::string;
+    case 't':
+    case 'f': return json_value::kind::boolean;
+    case 'n': return json_value::kind::null;
+    default:
+      if (c == '-' || is_digit(c)) return json_value::kind::number;
+      fail(std::string("unexpected character '") + c + "'");
+  }
+}
+
+void json_reader::begin_object() {
+  if (start_value() != '{') fail("expected '{'");
+  ++at_;
+  ++depth_;
+  after_value_ = false;
+}
+
+bool json_reader::next_member(std::string_view& key) {
+  skip_whitespace();
+  if (at_ != end_ && *at_ == '}') {
+    ++at_;
+    --depth_;
+    after_value_ = true;
+    return false;
+  }
+  if (after_value_) {
+    if (at_ == end_ || *at_ != ',') fail("expected ',' or '}' in object");
+    ++at_;
+    skip_whitespace();
+  }
+  if (at_ == end_ || *at_ != '"') fail("expected an object key string");
+  key = scan_string();
+  skip_whitespace();
+  if (at_ == end_ || *at_ != ':') fail("expected ':'");
+  ++at_;
+  after_value_ = false;
+  return true;
+}
+
+void json_reader::begin_array() {
+  if (start_value() != '[') fail("expected '['");
+  ++at_;
+  ++depth_;
+  after_value_ = false;
+}
+
+bool json_reader::next_element() {
+  skip_whitespace();
+  if (at_ != end_ && *at_ == ']') {
+    ++at_;
+    --depth_;
+    after_value_ = true;
+    return false;
+  }
+  if (after_value_) {
+    if (at_ == end_ || *at_ != ',') fail("expected ',' or ']' in array");
+    ++at_;
+    after_value_ = false;
+  }
+  return true;
+}
+
+std::string_view json_reader::read_string() {
+  if (start_value() != '"') fail("expected a string");
+  const std::string_view text = scan_string();
+  after_value_ = true;
+  return text;
+}
+
+std::string_view json_reader::scan_string() {
+  const char* begin = ++at_;  // past the opening quote
+  // Fast path: a string without escapes is a view into the text.
+  for (; at_ != end_; ++at_) {
+    const char c = *at_;
+    if (c == '"') {
+      const std::string_view text(begin, static_cast<std::size_t>(at_ - begin));
+      ++at_;
+      return text;
+    }
+    if (c == '\\') return scan_escaped_string(begin);
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("raw control character in string (use \\u escapes)");
+    }
+  }
+  fail("unterminated string");
+}
+
+std::string_view json_reader::scan_escaped_string(const char* begin) {
+  scratch_.assign(begin, static_cast<std::size_t>(at_ - begin));
+  while (true) {
+    if (at_ == end_) fail("unterminated string");
+    const char c = *at_++;
+    if (c == '"') return scratch_;
+    if (static_cast<unsigned char>(c) < 0x20) {
+      fail("raw control character in string (use \\u escapes)");
+    }
+    if (c != '\\') {
+      scratch_ += c;
+      continue;
+    }
+    if (at_ == end_) fail("unterminated string");
+    switch (*at_++) {
+      case '"': scratch_ += '"'; break;
+      case '\\': scratch_ += '\\'; break;
+      case '/': scratch_ += '/'; break;
+      case 'b': scratch_ += '\b'; break;
+      case 'f': scratch_ += '\f'; break;
+      case 'n': scratch_ += '\n'; break;
+      case 'r': scratch_ += '\r'; break;
+      case 't': scratch_ += '\t'; break;
+      case 'u': append_unicode_escape(); break;
+      default: fail("unknown escape sequence");
+    }
+  }
+}
+
+unsigned json_reader::parse_hex4() {
+  unsigned value = 0;
+  for (int k = 0; k < 4; ++k) {
+    if (at_ == end_) fail("unexpected end of input");
+    const char c = *at_++;
+    value <<= 4;
+    if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
+    else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
+    else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
+    else fail("expected four hex digits after \\u");
+  }
+  return value;
+}
+
+void json_reader::append_unicode_escape() {
+  unsigned code = parse_hex4();
+  if (code >= 0xd800 && code <= 0xdbff) {
+    // High surrogate: a low surrogate escape must follow.
+    if (end_ - at_ < 2 || at_[0] != '\\' || at_[1] != 'u') {
+      fail("high surrogate without a following \\u low surrogate");
+    }
+    at_ += 2;
+    const unsigned low = parse_hex4();
+    if (low < 0xdc00 || low > 0xdfff) fail("invalid low surrogate in \\u pair");
+    code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
+  } else if (code >= 0xdc00 && code <= 0xdfff) {
+    fail("unpaired low surrogate");
+  }
+  // Encode the code point as UTF-8.
+  std::string& out = scratch_;
+  if (code < 0x80) {
+    out += static_cast<char>(code);
+  } else if (code < 0x800) {
+    out += static_cast<char>(0xc0 | (code >> 6));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  } else if (code < 0x10000) {
+    out += static_cast<char>(0xe0 | (code >> 12));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  } else {
+    out += static_cast<char>(0xf0 | (code >> 18));
+    out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
+    out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
+    out += static_cast<char>(0x80 | (code & 0x3f));
+  }
+}
+
+double json_reader::read_number() {
+  const char c = start_value();
+  if (c != '-' && !is_digit(c)) fail("expected a number");
+  // Validate the strict JSON grammar first (from_chars is laxer: it
+  // accepts inf/nan and bare leading dots).
+  const char* first = at_;
+  const auto digits = [this] {
+    const char* run = at_;
+    while (at_ != end_ && is_digit(*at_)) ++at_;
+    return at_ - run;
+  };
+  if (*at_ == '-') ++at_;
+  if (at_ == end_ || !is_digit(*at_)) fail("malformed number");
+  if (*at_ == '0') {
+    ++at_;
+  } else {
+    digits();
+  }
+  if (at_ != end_ && *at_ == '.') {
+    ++at_;
+    if (digits() == 0) fail("expected digits after the decimal point");
+  }
+  if (at_ != end_ && (*at_ == 'e' || *at_ == 'E')) {
+    ++at_;
+    if (at_ != end_ && (*at_ == '+' || *at_ == '-')) ++at_;
+    if (digits() == 0) fail("expected digits in the exponent");
+  }
+  double value = 0.0;
+  const std::from_chars_result result = std::from_chars(first, at_, value);
+  if (result.ec != std::errc{} || result.ptr != at_) fail("malformed number");
+  after_value_ = true;
+  return value;
+}
+
+void json_reader::expect_literal(std::string_view literal) {
+  if (static_cast<std::size_t>(end_ - at_) < literal.size() ||
+      std::string_view(at_, literal.size()) != literal) {
+    fail("expected '" + std::string(literal) + "'");
+  }
+  at_ += literal.size();
+  after_value_ = true;
+}
+
+bool json_reader::read_bool() {
+  const char c = start_value();
+  if (c == 't') {
+    expect_literal("true");
+    return true;
+  }
+  if (c != 'f') fail("expected true or false");
+  expect_literal("false");
+  return false;
+}
+
+void json_reader::read_null() {
+  start_value();
+  expect_literal("null");
+}
+
+void json_reader::skip_value() {
+  std::string_view key;
+  switch (peek()) {
+    case json_value::kind::object:
+      begin_object();
+      while (next_member(key)) skip_value();
+      return;
+    case json_value::kind::array:
+      begin_array();
+      while (next_element()) skip_value();
+      return;
+    case json_value::kind::string: read_string(); return;
+    case json_value::kind::number: read_number(); return;
+    case json_value::kind::boolean: read_bool(); return;
+    case json_value::kind::null: read_null(); return;
+  }
+}
+
+void json_reader::finish() {
+  skip_whitespace();
+  if (at_ != end_) fail("trailing content after the JSON document");
+}
+
 // ------------------------------------------------------------ json_parse
 
 namespace {
 
-class json_parser {
- public:
-  explicit json_parser(const std::string& text) : text_(text) {}
-
-  json_value parse_document() {
-    skip_whitespace();
-    json_value value = parse_value(0);
-    skip_whitespace();
-    if (at_ != text_.size()) fail("trailing content after the JSON document");
-    return value;
-  }
-
- private:
-  // Deep enough for any nwdec document; bounds the recursion so a hostile
-  // daemon request cannot overflow the stack.
-  static constexpr std::size_t max_depth = 128;
-
-  [[noreturn]] void fail(const std::string& what) const {
-    throw json_parse_error("JSON parse error at offset " +
-                           std::to_string(at_) + ": " + what);
-  }
-
-  bool done() const { return at_ >= text_.size(); }
-  char peek() const { return text_[at_]; }
-
-  char next() {
-    if (done()) fail("unexpected end of input");
-    return text_[at_++];
-  }
-
-  void expect(char c) {
-    if (done() || text_[at_] != c) {
-      fail(std::string("expected '") + c + "'");
-    }
-    ++at_;
-  }
-
-  void skip_whitespace() {
-    while (!done()) {
-      const char c = peek();
-      if (c != ' ' && c != '\t' && c != '\n' && c != '\r') break;
-      ++at_;
-    }
-  }
-
-  json_value parse_value(std::size_t depth) {
-    if (depth > max_depth) fail("document nests deeper than 128 levels");
-    if (done()) fail("unexpected end of input");
-    switch (peek()) {
-      case '{': return parse_object(depth);
-      case '[': return parse_array(depth);
-      case '"': return json_value(parse_string());
-      case 't': expect_literal("true"); return json_value(true);
-      case 'f': expect_literal("false"); return json_value(false);
-      case 'n': expect_literal("null"); return json_value();
-      default:
-        if (peek() == '-' || (peek() >= '0' && peek() <= '9')) {
-          return json_value(parse_number());
+json_value build_value(json_reader& reader) {
+  switch (reader.peek()) {
+    case json_value::kind::object: {
+      // Duplicate keys keep last-wins semantics at the first key's
+      // position. Small objects find duplicates by a linear scan; past
+      // that a key index keeps a wide (possibly hostile) object O(n)
+      // instead of O(n^2). Room for eight members up front skips the
+      // first regrowths of a typical request object.
+      constexpr std::size_t scan_limit = 16;
+      std::vector<json_value::member> members;
+      members.reserve(8);
+      std::unordered_map<std::string, std::size_t> index;
+      std::string_view key;
+      reader.begin_object();
+      while (reader.next_member(key)) {
+        std::string name(key);
+        json_value value = build_value(reader);
+        std::size_t slot = members.size();
+        if (members.size() < scan_limit) {
+          for (std::size_t k = 0; k < members.size(); ++k) {
+            if (members[k].first == name) {
+              slot = k;
+              break;
+            }
+          }
+        } else {
+          if (index.empty()) {
+            for (std::size_t k = 0; k < members.size(); ++k) {
+              index.emplace(members[k].first, k);
+            }
+          }
+          slot = index.emplace(name, members.size()).first->second;
         }
-        fail(std::string("unexpected character '") + peek() + "'");
-    }
-  }
-
-  void expect_literal(const char* literal) {
-    for (const char* c = literal; *c != '\0'; ++c) {
-      if (done() || text_[at_] != *c) {
-        fail(std::string("expected '") + literal + "'");
+        if (slot < members.size()) {
+          members[slot].second = std::move(value);
+        } else {
+          members.emplace_back(std::move(name), std::move(value));
+        }
       }
-      ++at_;
+      return json_value::object(std::move(members));
     }
-  }
-
-  json_value parse_object(std::size_t depth) {
-    expect('{');
-    skip_whitespace();
-    if (!done() && peek() == '}') {
-      ++at_;
-      return json_value::object();
-    }
-    // Members accumulate in a flat vector with a key index on the side, so
-    // a large (possibly hostile) object parses in O(n) instead of the
-    // O(n^2) repeated set() would cost; duplicate keys keep last-wins
-    // semantics.
-    std::vector<json_value::member> members;
-    std::unordered_map<std::string, std::size_t> index;
-    while (true) {
-      skip_whitespace();
-      if (done() || peek() != '"') fail("expected an object key string");
-      std::string key = parse_string();
-      skip_whitespace();
-      expect(':');
-      skip_whitespace();
-      json_value value = parse_value(depth + 1);
-      const auto [it, inserted] = index.emplace(key, members.size());
-      if (inserted) {
-        members.emplace_back(std::move(key), std::move(value));
-      } else {
-        members[it->second].second = std::move(value);
-      }
-      skip_whitespace();
-      const char c = next();
-      if (c == '}') return json_value::object(std::move(members));
-      if (c != ',') fail("expected ',' or '}' in object");
-    }
-  }
-
-  json_value parse_array(std::size_t depth) {
-    expect('[');
-    json_value array = json_value::array();
-    skip_whitespace();
-    if (!done() && peek() == ']') {
-      ++at_;
+    case json_value::kind::array: {
+      json_value array = json_value::array();
+      reader.begin_array();
+      while (reader.next_element()) array.push_back(build_value(reader));
       return array;
     }
-    while (true) {
-      skip_whitespace();
-      array.push_back(parse_value(depth + 1));
-      skip_whitespace();
-      const char c = next();
-      if (c == ']') return array;
-      if (c != ',') fail("expected ',' or ']' in array");
-    }
+    case json_value::kind::string:
+      return json_value(std::string(reader.read_string()));
+    case json_value::kind::number: return json_value(reader.read_number());
+    case json_value::kind::boolean: return json_value(reader.read_bool());
+    case json_value::kind::null: reader.read_null(); return json_value();
   }
-
-  std::string parse_string() {
-    expect('"');
-    std::string out;
-    while (true) {
-      if (done()) fail("unterminated string");
-      const char c = next();
-      if (c == '"') return out;
-      if (static_cast<unsigned char>(c) < 0x20) {
-        fail("raw control character in string (use \\u escapes)");
-      }
-      if (c != '\\') {
-        out += c;
-        continue;
-      }
-      const char escape = next();
-      switch (escape) {
-        case '"': out += '"'; break;
-        case '\\': out += '\\'; break;
-        case '/': out += '/'; break;
-        case 'b': out += '\b'; break;
-        case 'f': out += '\f'; break;
-        case 'n': out += '\n'; break;
-        case 'r': out += '\r'; break;
-        case 't': out += '\t'; break;
-        case 'u': append_unicode_escape(out); break;
-        default: fail("unknown escape sequence");
-      }
-    }
-  }
-
-  unsigned parse_hex4() {
-    unsigned value = 0;
-    for (int k = 0; k < 4; ++k) {
-      const char c = next();
-      value <<= 4;
-      if (c >= '0' && c <= '9') value |= static_cast<unsigned>(c - '0');
-      else if (c >= 'a' && c <= 'f') value |= static_cast<unsigned>(c - 'a' + 10);
-      else if (c >= 'A' && c <= 'F') value |= static_cast<unsigned>(c - 'A' + 10);
-      else fail("expected four hex digits after \\u");
-    }
-    return value;
-  }
-
-  void append_unicode_escape(std::string& out) {
-    unsigned code = parse_hex4();
-    if (code >= 0xd800 && code <= 0xdbff) {
-      // High surrogate: a low surrogate escape must follow.
-      if (done() || next() != '\\' || done() || next() != 'u') {
-        fail("high surrogate without a following \\u low surrogate");
-      }
-      const unsigned low = parse_hex4();
-      if (low < 0xdc00 || low > 0xdfff) {
-        fail("invalid low surrogate in \\u pair");
-      }
-      code = 0x10000 + ((code - 0xd800) << 10) + (low - 0xdc00);
-    } else if (code >= 0xdc00 && code <= 0xdfff) {
-      fail("unpaired low surrogate");
-    }
-    // Encode the code point as UTF-8.
-    if (code < 0x80) {
-      out += static_cast<char>(code);
-    } else if (code < 0x800) {
-      out += static_cast<char>(0xc0 | (code >> 6));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    } else if (code < 0x10000) {
-      out += static_cast<char>(0xe0 | (code >> 12));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    } else {
-      out += static_cast<char>(0xf0 | (code >> 18));
-      out += static_cast<char>(0x80 | ((code >> 12) & 0x3f));
-      out += static_cast<char>(0x80 | ((code >> 6) & 0x3f));
-      out += static_cast<char>(0x80 | (code & 0x3f));
-    }
-  }
-
-  double parse_number() {
-    // Validate the strict JSON grammar first (from_chars is laxer: it
-    // accepts inf/nan and bare leading dots).
-    const std::size_t start = at_;
-    if (!done() && peek() == '-') ++at_;
-    if (done() || peek() < '0' || peek() > '9') fail("malformed number");
-    if (peek() == '0') {
-      ++at_;
-    } else {
-      while (!done() && peek() >= '0' && peek() <= '9') ++at_;
-    }
-    if (!done() && peek() == '.') {
-      ++at_;
-      if (done() || peek() < '0' || peek() > '9') {
-        fail("expected digits after the decimal point");
-      }
-      while (!done() && peek() >= '0' && peek() <= '9') ++at_;
-    }
-    if (!done() && (peek() == 'e' || peek() == 'E')) {
-      ++at_;
-      if (!done() && (peek() == '+' || peek() == '-')) ++at_;
-      if (done() || peek() < '0' || peek() > '9') {
-        fail("expected digits in the exponent");
-      }
-      while (!done() && peek() >= '0' && peek() <= '9') ++at_;
-    }
-    double value = 0.0;
-    const char* first = text_.data() + start;
-    const char* last = text_.data() + at_;
-    const std::from_chars_result result = std::from_chars(first, last, value);
-    if (result.ec != std::errc{} || result.ptr != last) {
-      fail("malformed number");
-    }
-    return value;
-  }
-
-  const std::string& text_;
-  std::size_t at_ = 0;
-};
+  return json_value();
+}
 
 }  // namespace
 
-json_value json_parse(const std::string& text) {
-  return json_parser(text).parse_document();
+json_value json_parse(std::string_view text) {
+  json_reader reader(text);
+  json_value document = build_value(reader);
+  reader.finish();
+  return document;
 }
 
 // ------------------------------------------------------------ json_writer
 
-void json_writer::indent() {
-  for (std::size_t k = 0; k < stack_.size(); ++k) out_ << "  ";
-}
+void json_writer::indent() { out_.append(2 * stack_.size(), ' '); }
 
 void json_writer::before_value() {
   if (pending_key_) {
@@ -376,10 +483,10 @@ void json_writer::before_value() {
   NWDEC_EXPECTS(stack_.empty() || stack_.back().inside == scope::array,
                 "a value inside an object needs a key() first");
   if (!stack_.empty()) {
-    if (!stack_.back().first) out_ << ",";
+    if (!stack_.back().first) out_ += ',';
     stack_.back().first = false;
     if (style_ == style::pretty) {
-      out_ << "\n";
+      out_ += '\n';
       indent();
     }
   }
@@ -387,7 +494,7 @@ void json_writer::before_value() {
 
 json_writer& json_writer::begin_object() {
   before_value();
-  out_ << "{";
+  out_ += '{';
   stack_.push_back({scope::object, true});
   return *this;
 }
@@ -399,16 +506,16 @@ json_writer& json_writer::end_object() {
   const bool empty = stack_.back().first;
   stack_.pop_back();
   if (!empty && style_ == style::pretty) {
-    out_ << "\n";
+    out_ += '\n';
     indent();
   }
-  out_ << "}";
+  out_ += '}';
   return *this;
 }
 
 json_writer& json_writer::begin_array() {
   before_value();
-  out_ << "[";
+  out_ += '[';
   stack_.push_back({scope::array, true});
   return *this;
 }
@@ -419,41 +526,42 @@ json_writer& json_writer::end_array() {
   const bool empty = stack_.back().first;
   stack_.pop_back();
   if (!empty && style_ == style::pretty) {
-    out_ << "\n";
+    out_ += '\n';
     indent();
   }
-  out_ << "]";
+  out_ += ']';
   return *this;
 }
 
-json_writer& json_writer::key(const std::string& name) {
+json_writer& json_writer::key(std::string_view name) {
   NWDEC_EXPECTS(!stack_.empty() && stack_.back().inside == scope::object &&
                     !pending_key_,
                 "key() is only valid directly inside an object");
-  if (!stack_.back().first) out_ << ",";
+  if (!stack_.back().first) out_ += ',';
   stack_.back().first = false;
   if (style_ == style::pretty) {
-    out_ << "\n";
+    out_ += '\n';
     indent();
   }
-  out_ << "\"" << json_escape(name) << "\":";
-  if (style_ == style::pretty) out_ << " ";
+  out_ += '"';
+  append_escaped(out_, name);
+  out_ += style_ == style::pretty ? "\": " : "\":";
   pending_key_ = true;
   return *this;
 }
 
-json_writer& json_writer::raw(const std::string& text) {
+json_writer& json_writer::raw(std::string_view text) {
   before_value();
-  out_ << text;
+  out_ += text;
   return *this;
 }
 
-json_writer& json_writer::value(const std::string& text) {
-  return raw("\"" + json_escape(text) + "\"");
-}
-
-json_writer& json_writer::value(const char* text) {
-  return value(std::string(text));
+json_writer& json_writer::value(std::string_view text) {
+  before_value();
+  out_ += '"';
+  append_escaped(out_, text);
+  out_ += '"';
+  return *this;
 }
 
 json_writer& json_writer::value(double number) {
@@ -464,7 +572,8 @@ json_writer& json_writer::value(double number) {
   char buffer[32];
   const std::to_chars_result result =
       std::to_chars(buffer, buffer + sizeof(buffer), number);
-  return raw(std::string(buffer, result.ptr));
+  return raw(std::string_view(buffer, static_cast<std::size_t>(
+                                          result.ptr - buffer)));
 }
 
 json_writer& json_writer::value(bool flag) {
@@ -497,7 +606,11 @@ json_writer& json_writer::value(const json_value& node) {
 std::string json_writer::str() const {
   NWDEC_EXPECTS(stack_.empty() && !pending_key_,
                 "str() called with an unclosed object/array or dangling key");
-  return out_.str() + "\n";
+  std::string document;
+  document.reserve(out_.size() + 1);
+  document += out_;
+  document += '\n';
+  return document;
 }
 
 std::string json_render(const json_value& node,

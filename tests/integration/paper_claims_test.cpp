@@ -3,7 +3,7 @@
 // Absolute agreement with the authors' testbed is not expected; these
 // tests pin the *direction* of every claim and keep each measured ratio
 // inside a generous band around the reported one, so regressions in the
-// model surface immediately. EXPERIMENTS.md records the exact values.
+// model surface immediately.
 #include <gtest/gtest.h>
 
 #include "core/experiments.h"

@@ -10,6 +10,7 @@
 #include <string>
 
 #include "core/sweep_engine.h"
+#include "store_entry_oracle.h"
 #include "util/error.h"
 #include "util/json.h"
 

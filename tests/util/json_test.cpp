@@ -6,9 +6,13 @@
 
 #include <gtest/gtest.h>
 
+#include <charconv>
 #include <cmath>
+#include <cstdint>
 #include <cstdlib>
+#include <cstring>
 #include <limits>
+#include <string_view>
 
 #include "util/error.h"
 #include "util/rng.h"
@@ -119,6 +123,114 @@ TEST(JsonWriterTest, CompactStyleEmitsOneLine) {
   EXPECT_EQ(json.end_object().str(),
             "{\"name\":\"sweep\",\"sigma\":0.05,\"points\":[1,2],"
             "\"empty\":{}}\n");
+}
+
+TEST(JsonWriterTest, IntegersPrintExactly) {
+  json_writer json(json_writer::style::compact);
+  const std::string key = "signed";
+  json.begin_object()
+      .field(std::string_view("max"),
+             std::numeric_limits<std::uint64_t>::max())
+      .field(key, std::numeric_limits<std::int64_t>::min())
+      .field("zero", 0)
+      .end_object();
+  EXPECT_EQ(json.str(),
+            "{\"max\":18446744073709551615,"
+            "\"signed\":-9223372036854775808,\"zero\":0}\n");
+}
+
+// --------------------------------------------------------------- reader
+
+TEST(JsonReaderTest, WalksADocumentWithoutATree) {
+  const std::string text =
+      R"({"name": "plain", "escaped": "a\"bé", "n": 2.5,
+          "list": [1, true, null], "skip": {"deep": [{"x": "y"}]}})";
+  json_reader reader(text);
+  std::string_view key;
+  reader.begin_object();
+
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(key, "name");
+  const std::string_view plain = reader.read_string();
+  EXPECT_EQ(plain, "plain");
+  // An escape-free string is a view into the document itself.
+  EXPECT_GE(plain.data(), text.data());
+  EXPECT_LT(plain.data(), text.data() + text.size());
+
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(key, "escaped");
+  EXPECT_EQ(reader.read_string(), "a\"b\xc3\xa9");
+
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(reader.peek(), json_value::kind::number);
+  EXPECT_EQ(reader.read_number(), 2.5);
+
+  ASSERT_TRUE(reader.next_member(key));
+  reader.begin_array();
+  ASSERT_TRUE(reader.next_element());
+  EXPECT_EQ(reader.read_number(), 1.0);
+  ASSERT_TRUE(reader.next_element());
+  EXPECT_TRUE(reader.read_bool());
+  ASSERT_TRUE(reader.next_element());
+  EXPECT_EQ(reader.peek(), json_value::kind::null);
+  reader.read_null();
+  EXPECT_FALSE(reader.next_element());
+
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_EQ(key, "skip");
+  reader.skip_value();
+  EXPECT_FALSE(reader.next_member(key));
+  EXPECT_NO_THROW(reader.finish());
+}
+
+TEST(JsonReaderTest, SeparatorsAreStrict) {
+  const auto walk = [](const std::string& text) {
+    json_reader reader(text);
+    reader.skip_value();
+    reader.finish();
+  };
+  for (const char* text :
+       {"{\"a\": 1,}", "{,\"a\": 1}", "{\"a\" 1}", "{\"a\": 1 \"b\": 2}",
+        "[1,]", "[,1]", "[1 2]", "[", "{\"a\": 1} x", "[] []"}) {
+    EXPECT_THROW(walk(text), json_parse_error) << "input: " << text;
+  }
+  EXPECT_NO_THROW(walk(" { \"a\" : [ ] , \"b\" : { } } \n"));
+}
+
+TEST(JsonReaderTest, SkipValueHonorsTheDepthBound) {
+  std::string deep = "{\"k\": ";
+  for (int k = 0; k < 200; ++k) deep += '[';
+  for (int k = 0; k < 200; ++k) deep += ']';
+  deep += '}';
+  json_reader reader(deep);
+  std::string_view key;
+  reader.begin_object();
+  ASSERT_TRUE(reader.next_member(key));
+  EXPECT_THROW(reader.skip_value(), json_parse_error);
+}
+
+TEST(JsonReaderTest, NumbersMatchFromChars) {
+  for (const char* text :
+       {"0", "-0", "7", "123456789012345", "1234567890123456",
+        "9007199254740993", "18446744073709551616", "-42", "0.1", "2.5e-3",
+        "1E+2", "-0.0"}) {
+    json_reader reader(text);
+    const double parsed = reader.read_number();
+    reader.finish();
+    double expected = 0.0;
+    std::from_chars(text, text + std::strlen(text), expected);
+    EXPECT_EQ(parsed, expected) << text;
+    EXPECT_EQ(std::signbit(parsed), std::signbit(expected)) << text;
+  }
+  json_reader huge("1e400");
+  EXPECT_THROW(huge.read_number(), json_parse_error);
+}
+
+TEST(JsonReaderTest, TypedReadsRejectOtherKinds) {
+  json_reader reader(R"(["text", 1])");
+  reader.begin_array();
+  ASSERT_TRUE(reader.next_element());
+  EXPECT_THROW(reader.read_number(), json_parse_error);
 }
 
 // --------------------------------------------------------------- parser

@@ -112,7 +112,7 @@ int main(int argc, char** argv) {
   cli.add_int("capacity", 1 << 16, "result-store capacity (LRU entries)");
   cli.add_int("listen", -1,
               "serve a TCP port instead of stdin/stdout (0 = ephemeral; "
-              "the bound port is printed to stderr)");
+              "the bound port is in the 'listening' log record)");
   cli.add_int("http-port", -1,
               "serve an HTTP/1.1 gateway beside the main transport "
               "(POST /v1/rpc = the NDJSON protocol, GET "
