@@ -92,8 +92,8 @@ int main(int argc, char** argv) {
   const auto plan =
       crossbar::plan_contact_groups(nanowires, code.size(), tech);
 
-  // Resolve the dispatch path up front (honors NWDEC_SIMD_PATH and the
-  // deprecated NWDEC_SIMD shim) so every section below reports against it.
+  // Resolve the dispatch path up front (honors NWDEC_SIMD_PATH) so every
+  // section below reports against it.
   const cpu::simd_path default_path = cpu::active_path();
   const std::string cpu_features = cpu::to_string(cpu::detect());
   const std::vector<cpu::simd_path> paths = cpu::available_paths();

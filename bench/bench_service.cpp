@@ -3,8 +3,8 @@
 //   1. Result memoization -- a fully-cached repeat of a sweep request must
 //      be >= 10x faster than the cold computation (it is a map lookup per
 //      point instead of a Monte-Carlo run), and the repeat's payload must
-//      be byte-identical to the cold one, served from memory AND from a
-//      persisted cache file reloaded by a fresh service.
+//      be byte-identical to the cold one, served from memory AND from an
+//      exported store imported as a fresh service's durable snapshot.
 //   2. Adaptive trial budgets -- CI-width stopping (service/adaptive_budget)
 //      spends trials where the yield estimate is noisy (the cliff) and
 //      stops early where it is not, so the Figs. 7/8 grid completes within
@@ -35,7 +35,6 @@
 #include "api/dispatch.h"
 #include "bench_util.h"
 #include "core/experiments.h"
-#include "service/protocol.h"
 #include "service/sweep_service.h"
 #include "util/cli.h"
 #include "util/cpu.h"
@@ -125,18 +124,20 @@ int main(int argc, char** argv) {
       ok = false;
     }
 
-    // Persisted: a fresh service warmed from the saved cache file.
+    // Persisted: the store exported as a JSON document, then imported by
+    // a fresh service as its durable snapshot.
     const std::string cache_path =
         (std::filesystem::temp_directory_path() / "BENCH_service_cache.json")
             .string();
-    service.save_cache(cache_path);
+    service.flush(cache_path, false);
     service::sweep_service restarted(crossbar::crossbar_spec{},
                                      device::paper_technology(), options);
-    restarted.load_cache(cache_path);
+    restarted.enable_durability(cache_path);
     started = std::chrono::steady_clock::now();
     const service::sweep_response persisted = restarted.evaluate(axes);
     const double persisted_seconds = seconds_since(started);
     std::remove(cache_path.c_str());
+    std::remove((cache_path + ".log").c_str());
     if (service::to_json(persisted) != cold_payload) {
       std::cerr << "FAIL: persisted payload differs from cold payload\n";
       payloads_identical = false;
@@ -244,7 +245,7 @@ int main(int argc, char** argv) {
       {
         service::sweep_service fresh(crossbar::crossbar_spec{},
                                      device::paper_technology(), options);
-        api::dispatcher serial_dispatcher(fresh, {1, "", 16});
+        api::dispatcher serial_dispatcher(fresh, {1, 16});
         std::vector<std::string> responses(requests.size());
         started = std::chrono::steady_clock::now();
         for (std::size_t r = 0; r < requests.size(); ++r) {
@@ -257,7 +258,7 @@ int main(int argc, char** argv) {
         service::sweep_service fresh(crossbar::crossbar_spec{},
                                      device::paper_technology(), options);
         api::dispatcher concurrent_dispatcher(
-            fresh, {1, "", client_count * per_client + 16});
+            fresh, {1, client_count * per_client + 16});
         std::vector<std::string> responses(requests.size());
         started = std::chrono::steady_clock::now();
         std::vector<std::thread> clients;

@@ -40,7 +40,6 @@ dispatcher::dispatcher(service::sweep_service& service)
 
 dispatcher::dispatcher(service::sweep_service& service, options opts)
     : service_(service),
-      cache_path_(std::move(opts.cache_path)),
       scheduler_(service, {opts.workers, opts.retain_finished,
                            opts.max_queued, opts.slow_request_ms,
                            opts.dedup_window}) {}
@@ -72,9 +71,9 @@ std::string dispatcher::handle_line(const std::string& line) {
 
 // Renders a terminal job in the legacy synchronous wire shape -- the
 // committed daemon golden pins these bytes for sweep and refine. The
-// "topped_up" member is new with the CI-target feature and appears only
-// when the request asked for one (or a fixed-budget point actually
-// resumed), so legacy requests keep their exact PR 3 responses.
+// "topped_up" member appears only when the request asked for a CI target
+// (or a fixed-budget point actually resumed), so fixed-budget requests
+// keep the exact golden-pinned shape.
 std::string dispatcher::sync_response(const json_value& id,
                                       const job_result& job) {
   if (job.status.state == job_state::failed) {
@@ -292,15 +291,15 @@ std::string dispatcher::handle(const stats_request& request) {
         .field("running", jobs.running)
         .field("sweep_batches", jobs.sweep_batches)
         .field("sweep_jobs_batched", jobs.sweep_jobs_batched)
-        // Appended strictly after the PR 5 keys (the detail-consumer
-        // byte-prefix discipline): request_id retries answered with an
-        // existing job instead of a duplicate, then sweeps answered
-        // inline by store-aware admission (strictly after again).
+        // Appended strictly after the scheduler counters (the
+        // detail-consumer byte-prefix discipline): request_id retries
+        // answered with an existing job instead of a duplicate, then
+        // sweeps answered inline by store-aware admission.
         .field("deduplicated", jobs.deduplicated)
         .field("answered_inline", jobs.answered_inline)
         .end_object();
-    // Observability detail (appended strictly AFTER the PR 5 detail keys,
-    // so existing detail consumers keep their byte prefixes): process
+    // Observability detail (appended strictly AFTER the job keys, so
+    // existing detail consumers keep their byte prefixes): process
     // uptime, the live queue depth, and a summary of the job-latency
     // histogram the metrics registry accumulates.
     metrics::registry& registry = metrics::registry::global();
@@ -402,7 +401,7 @@ void dispatcher::serve_subscription(const subscribe_request& request,
 
 std::string dispatcher::handle(const flush_request& request) {
   const service::flush_summary summary =
-      service_.flush(cache_path_, request.clear);
+      service_.flush(service_.snapshot_path(), request.clear);
   json_writer json = begin_response(request.header.client_id, "flush");
   json.field("persisted", summary.persisted)
       .field("entries", summary.entries)

@@ -3,19 +3,30 @@
 // handle_line() is the whole service surface: one NDJSON request line in,
 // exactly one single-line JSON response out (trailing newline included),
 // never throwing -- every failure, from malformed JSON up, becomes an
-// "ok": false response echoing the request's "id". It is safe to call from
-// any number of transport threads concurrently (the TCP server calls it
-// from one thread per connection; the stdio loop from one).
+// "ok": false response echoing the request's "id" (null when absent or
+// unparseable). It is safe to call from any number of transport threads
+// concurrently (the TCP server calls it from one thread per connection;
+// the stdio loop from one). The request grammar lives in api/types.h.
 //
 // Sweep and refine requests become jobs on the scheduler. Synchronous
-// requests (the legacy protocol) submit, wait, and render the completed
-// job in the PR 3 wire shape -- the committed daemon golden pins those
-// bytes. "async": true requests return
+// requests submit, wait, and render the completed job in the wire shape
+// the committed daemon golden (tools/service_smoke/) pins byte for byte;
+// a synchronous sweep the store can answer at full provenance is served
+// inline at admission instead (no job, same bytes). "async": true
+// requests return
 //   {"id": ..., "kind": "sweep", "ok": true, "async": true, "job": N,
 //    "state": "queued"}
-// immediately; the result is fetched (or awaited) with status requests.
-// status/cancel/stats/flush are served inline -- they inspect shared
-// state and never queue.
+// immediately; the result is fetched (or awaited) with status requests,
+// whose responses carry a "trace" span object once the job ran.
+// status/cancel/stats/flush/metrics are served inline -- they inspect
+// shared state and never queue. flush persists through the service's
+// durable store (persisted: false when the service is memory-only).
+//
+// Determinism: the "result" member of sweep/refine responses is a pure
+// function of (service configuration, request) -- cache provenance counts
+// live only in the wrapper -- so answers served cold, from memory, from a
+// recovered durable store, topped up, batched with other jobs, or over
+// any transport are byte-identical there, at any worker count.
 #pragma once
 
 #include <string>
@@ -58,8 +69,6 @@ class dispatcher final : public line_handler {
   struct options {
     /// Scheduler worker threads (0 = hardware concurrency).
     std::size_t workers = 1;
-    /// Cache file `flush` persists to ('' = in-memory only).
-    std::string cache_path;
     /// Finished jobs retained for status fetches.
     std::size_t retain_finished = 1024;
     /// Scheduler queue bound: submissions past this many waiting jobs get
@@ -108,7 +117,6 @@ class dispatcher final : public line_handler {
   std::string sync_response(const json_value& id, const job_result& job);
 
   service::sweep_service& service_;
-  std::string cache_path_;
   job_scheduler scheduler_;
 };
 

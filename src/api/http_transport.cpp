@@ -20,6 +20,10 @@ namespace nwdec::api {
 
 namespace {
 
+// SSE pump poll granularity: how often a quiet stream checks for
+// drain/disconnect, in ms. Never affects delivered bytes.
+constexpr int kSsePollMs = 250;
+
 // An error answered at the HTTP layer still carries the NDJSON error
 // shape in its body, so a client can treat every failure uniformly.
 std::string http_error(int status, const std::string& what,
@@ -59,9 +63,8 @@ int status_of_response_line(const std::string& line) {
 }  // namespace
 
 http_transport::http_transport(std::uint16_t port, int backlog,
-                               tcp_limits limits,
-                               http_gateway_options gateway)
-    : socket_server(port, backlog, limits), gateway_(gateway) {}
+                               tcp_limits limits)
+    : socket_server(port, backlog, limits) {}
 
 std::string http_transport::shed_response() const {
   return http_error(
@@ -146,11 +149,10 @@ bool http_transport::handle_request(int client,
                                     line_handler& handler) {
   // During drain every response closes so peers reconnect to a live
   // instance instead of queueing more work on a dying one.
-  const bool keep_alive =
-      request.keep_alive && !gateway_.force_close && !draining();
+  const bool keep_alive = request.keep_alive && !draining();
   const std::string path = request.path();
 
-  if (gateway_.serve_metrics && path == "/metrics") {
+  if (path == "/metrics") {
     if (request.method != "GET") {
       net::send_all(client,
                     http_error(405, "only GET is supported on /metrics"));
@@ -158,7 +160,7 @@ bool http_transport::handle_request(int client,
     }
     return serve_metrics(client, request, keep_alive);
   }
-  if (gateway_.serve_rpc && path == "/v1/rpc") {
+  if (path == "/v1/rpc") {
     if (request.method != "POST") {
       net::send_all(client,
                     http_error(405, "only POST is supported on /v1/rpc"));
@@ -166,8 +168,7 @@ bool http_transport::handle_request(int client,
     }
     return serve_rpc(client, request, handler, keep_alive);
   }
-  if (gateway_.serve_events && path.rfind("/v1/jobs/", 0) == 0 &&
-      path.size() > 16 &&
+  if (path.rfind("/v1/jobs/", 0) == 0 && path.size() > 16 &&
       path.compare(path.size() - 7, 7, "/events") == 0) {
     if (request.method != "GET") {
       net::send_all(
@@ -290,9 +291,8 @@ void http_transport::serve_events(int client, const http::request& request,
                      "\r\n")) {
     return;
   }
-  const int poll_ms = gateway_.sse_poll_ms > 0 ? gateway_.sse_poll_ms : 250;
   for (;;) {
-    const std::optional<job_event> event = events->next(poll_ms);
+    const std::optional<job_event> event = events->next(kSsePollMs);
     if (event.has_value()) {
       if (!net::send_all(client, sse_chunk(*event))) return;
       continue;

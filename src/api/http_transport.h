@@ -20,8 +20,8 @@
 //     ends (zero-length chunk, connection close) after the terminal
 //     event -- or with a draining event when the daemon shuts down.
 //     404 for an unknown/forgotten job; "from" resumes after a seq.
-//   * GET /metrics -- the Prometheus text exposition (the old
-//     --metrics-port handler, now just a route here).
+//   * GET /metrics -- the Prometheus text exposition of the util/metrics
+//     registry (the daemon's one scrape endpoint).
 //
 // Transport-level answers (before any route): malformed request -> 400,
 // Transfer-Encoding body -> 411, request over max_request_bytes -> 413
@@ -43,28 +43,12 @@ namespace nwdec::api {
 
 class job_scheduler;
 
-/// Which routes this listener serves: the daemon's --http-port gateway
-/// serves all three; the --metrics-port compatibility listener is a
-/// gateway with only the metrics route.
-struct http_gateway_options {
-  bool serve_rpc = true;
-  bool serve_events = true;
-  bool serve_metrics = true;
-  /// Answer every request with Connection: close (single-exchange
-  /// listeners like the metrics scrape port).
-  bool force_close = false;
-  /// SSE pump poll granularity: how often a quiet stream checks for
-  /// drain/disconnect, in ms. Never affects delivered bytes.
-  int sse_poll_ms = 250;
-};
-
 class http_transport final : public socket_server {
  public:
-  http_transport(std::uint16_t port, int backlog, tcp_limits limits,
-                 http_gateway_options gateway = {});
+  http_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
-  /// Wires the events route to a scheduler. Unset (or with serve_events
-  /// false), GET /v1/jobs/{id}/events answers 404. Set before serve().
+  /// Wires the events route to a scheduler. Unset, GET
+  /// /v1/jobs/{id}/events answers 404. Set before serve().
   void set_event_source(job_scheduler* scheduler) { scheduler_ = scheduler; }
 
  protected:
@@ -84,7 +68,6 @@ class http_transport final : public socket_server {
   void serve_events(int client, const http::request& request,
                     std::uint64_t job);
 
-  http_gateway_options gateway_;
   job_scheduler* scheduler_ = nullptr;
 };
 

@@ -15,7 +15,7 @@
 // line or an HTTP 503, each in its own protocol).
 //
 // The per-connection resource bounds (tcp_limits) are shared verbatim
-// across protocols: the same --idle-timeout-ms / --read-deadline-ms /
+// across protocols: the same --idle-timeout / --read-deadline /
 // --max-request-bytes / --max-connections / --drain-ms configuration
 // protects the NDJSON socket and the HTTP gateway alike.
 #pragma once
@@ -35,9 +35,9 @@ namespace nwdec::api {
 
 /// Per-connection resource bounds (see tcp_transport.h for the error
 /// code each bound answers with on the NDJSON protocol; the HTTP
-/// gateway maps them onto status codes). The defaults keep the PR 4
-/// behavior: no timeouts, no connection cap, a 4 MiB request cap,
-/// immediate shutdown.
+/// gateway maps them onto status codes). The defaults are the unbounded
+/// library behavior: no timeouts, no connection cap, a 4 MiB request
+/// cap, immediate shutdown; the daemon sets every bound from its flags.
 struct tcp_limits {
   /// Close a connection that sends no bytes for this long (0 = never).
   int idle_timeout_ms = 0;
@@ -50,7 +50,7 @@ struct tcp_limits {
   std::size_t max_connections = 0;
   /// Graceful-drain window on shutdown: half-close connections, wait
   /// this long for in-flight requests to finish, then force-close
-  /// (0 = force-close immediately, the PR 4 behavior).
+  /// (0 = force-close immediately).
   int drain_ms = 0;
 };
 

@@ -49,19 +49,9 @@ class tcp_transport final : public socket_server {
                          int idle_timeout_ms = 0);
   tcp_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
-  /// Single-request mode: each connection is answered once -- the first
-  /// non-empty line gets its response, then the connection closes
-  /// (remaining buffered lines are dropped). This was the --metrics-port
-  /// discipline before the HTTP gateway existed; tests still exercise
-  /// it. Set before serve().
-  void set_single_request(bool on) { single_request_ = on; }
-
  protected:
   void serve_connection(int client, line_handler& handler) override;
   std::string shed_response() const override;
-
- private:
-  bool single_request_ = false;  ///< close after the first answered line
 };
 
 }  // namespace nwdec::api

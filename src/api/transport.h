@@ -5,12 +5,16 @@
 // NDJSON lines through a line_handler (api/dispatch.h), writing each
 // returned response line back to the requester. Dispatch is transport-
 // agnostic by contract: the same request line produces the same response
-// bytes over every transport (the CI socket smoke diffs the two).
+// bytes over every transport (the CI smokes diff each against the
+// committed golden).
 //
-//   * stdio_transport -- the legacy daemon loop: one request per stdin
-//     line, one response per stdout line, byte-compatible with PR 3.
+//   * stdio_transport -- the default daemon loop: one request per stdin
+//     line, one response per stdout line.
 //   * tcp_transport (api/tcp_transport.h) -- a socket server handling any
 //     number of concurrent connections, one thread per connection.
+//   * http_transport (api/http_transport.h) -- the HTTP/1.1 gateway on
+//     the same socket chassis: the protocol over POST /v1/rpc, SSE job
+//     events, and the /metrics scrape.
 #pragma once
 
 #include <iosfwd>

@@ -2,8 +2,7 @@
 //
 // Every request the daemon accepts is one of the structs below; parsing
 // from the NDJSON wire form and serializing back are centralized here, so
-// protocol fields are named in exactly one place (the ad-hoc json_value
-// plucking the PR 3 protocol_handler did is gone). parse_request and
+// protocol fields are named in exactly one place. parse_request and
 // write_request are inverses: write(parse(write(x))) == write(x) byte for
 // byte, and the round trip is tested.
 //
@@ -52,14 +51,16 @@
 //        eviction split, top-up count, and the job-scheduler counters.
 //
 //   {"id": 6, "kind": "flush", "clear": false}
-//     -> persists the store to the daemon's cache file (before clearing,
-//        when "clear" is true).
+//     -> compacts the daemon's durable store into its --cache snapshot
+//        (before clearing, when "clear" is true); "persisted": false when
+//        the daemon runs memory-only.
 //
 //   {"id": 7, "kind": "metrics"}
 //     -> point-in-time snapshot of the observability registry
 //        (util/metrics): {"counters": {...}, "gauges": {...},
 //        "histograms": {...}} with byte-stable key order. The same
-//        snapshot renders in Prometheus text form on --metrics-port.
+//        snapshot renders in Prometheus text form at GET /metrics on
+//        --http-port.
 //
 //   {"id": 8, "kind": "subscribe", "job": 7, "from": 0}
 //     -> STREAMING: after an acknowledgement line, the connection

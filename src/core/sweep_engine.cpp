@@ -19,7 +19,7 @@
 #include "util/rng.h"
 #include "util/stats.h"
 #include "yield/analytic_yield.h"
-#include "yield/yield_sweep.h"
+#include "yield/monte_carlo_yield.h"
 
 namespace nwdec::core {
 

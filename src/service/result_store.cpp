@@ -587,12 +587,4 @@ void result_store::save_file(const std::string& path,
   write_file_atomic(path, to_json(header));
 }
 
-bool result_store::load_file(const std::string& path,
-                             const store_header& expected) {
-  const std::optional<std::string> text = read_file(path);
-  if (!text.has_value()) return false;
-  load_json(*text, expected);
-  return true;
-}
-
 }  // namespace nwdec::service

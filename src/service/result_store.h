@@ -169,10 +169,6 @@ class result_store {
   /// to_json() straight to a file; throws on I/O failure.
   void save_file(const std::string& path, const store_header& header) const;
 
-  /// load_json() from a file; returns false when the file does not exist
-  /// (a cold cache), throws on malformed content or a header mismatch.
-  bool load_file(const std::string& path, const store_header& expected);
-
  private:
   struct entry {
     std::uint64_t fingerprint = 0;

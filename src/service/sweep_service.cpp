@@ -434,23 +434,6 @@ std::optional<sweep_response> sweep_service::try_serve_cached(
   return response;
 }
 
-bool sweep_service::load_cache(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return store_.load_file(path, header());
-}
-
-void sweep_service::save_cache(const std::string& path) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  // A durable service checkpoints its own path by compacting (snapshot
-  // rotation + log truncation); exporting to a different path stays a
-  // plain (atomic) JSON write.
-  if (durable_ && path == durable_->snapshot_path()) {
-    durable_->compact(store_, header());
-    return;
-  }
-  store_.save_file(path, header());
-}
-
 recovery_report sweep_service::enable_durability(const std::string& path,
                                                  durable_options options) {
   const std::lock_guard<std::mutex> lock(mutex_);
@@ -461,9 +444,9 @@ recovery_report sweep_service::enable_durability(const std::string& path,
   return report;
 }
 
-bool sweep_service::durable() const {
+std::string sweep_service::snapshot_path() const {
   const std::lock_guard<std::mutex> lock(mutex_);
-  return durable_ != nullptr;
+  return durable_ ? durable_->snapshot_path() : std::string();
 }
 
 flush_summary sweep_service::flush(const std::string& path, bool clear) {

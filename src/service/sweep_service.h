@@ -8,7 +8,7 @@
 // pure function of (seed, mode, budget policy, target, fingerprint(point))
 // -- the engine's determinism contract plus the absolute-rung budget
 // schedule -- the ways a point can be answered (computed cold, memory
-// cache, reloaded cache file, topped up from persisted progress) carry
+// cache, recovered durable store, topped up from persisted progress) carry
 // identical payloads, and service::to_json serializes them byte-identically.
 //
 // Budget semantics per point_query:
@@ -123,7 +123,7 @@ struct sweep_response {
 
 /// What a flush accomplished (the protocol's flush response body).
 struct flush_summary {
-  bool persisted = false;    ///< a cache path was configured and written
+  bool persisted = false;    ///< a path was given and written
   std::size_t entries = 0;   ///< store size at flush time (pre-clear)
   bool cleared = false;      ///< the in-memory entries were dropped
 };
@@ -189,27 +189,26 @@ class sweep_service {
   std::optional<sweep_response> try_serve_cached(
       const std::vector<point_query>& queries);
 
-  /// Cache-file convenience: load_file/save_file with this service's
-  /// header. load_cache returns false when the file does not exist.
-  bool load_cache(const std::string& path);
-  void save_cache(const std::string& path);
-
-  /// Switches the service to crash-safe persistence rooted at `path`:
-  /// recovers snapshot + log (quarantining corrupt state, never
-  /// throwing on it -- see durable_store), then keeps the store durable
+  /// Makes the service crash-safe, rooted at the snapshot `path`:
+  /// recovers snapshot + log (quarantining corrupt state, never throwing
+  /// on it -- see durable_store), then keeps the store durable
   /// incrementally: every fresh result is appended to the write-ahead
-  /// log (one fsync per evaluation pass) and the snapshot is rotated
-  /// when the log outgrows it. flush()/save_cache() compact instead of
-  /// bare-writing. Throws io_error on real I/O failures (unwritable
-  /// directory); the caller may then continue un-durably.
+  /// log (one fsync per evaluation pass) and the snapshot is rotated when
+  /// the log outgrows it. A plain v2 store document at `path` is a valid
+  /// snapshot, so an exported JSON file imports (and upgrades) in place.
+  /// Throws io_error on real I/O failures (unwritable directory); the
+  /// caller may then continue in memory.
   recovery_report enable_durability(const std::string& path,
                                     durable_options options = {});
-  bool durable() const;
+  /// The durable snapshot path; empty while the service is memory-only.
+  std::string snapshot_path() const;
 
   /// The flush endpoint's behavior, in the only safe order: persist the
   /// store to `path` (when non-empty) FIRST, then optionally drop the
   /// in-memory entries -- so a clear can never lose results that were
-  /// promised to disk. Atomic with respect to concurrent evaluations.
+  /// promised to disk. The snapshot path compacts the durable store;
+  /// any other path is an export of the v2 JSON document. Atomic with
+  /// respect to concurrent evaluations.
   flush_summary flush(const std::string& path, bool clear);
 
   /// Consistent snapshot of the store/engine/top-up counters.
@@ -229,7 +228,7 @@ class sweep_service {
 
   mutable std::mutex mutex_;  ///< guards store_, durable_, topped_up_total_
   result_store store_;
-  std::unique_ptr<durable_store> durable_;  ///< null = plain JSON cache
+  std::unique_ptr<durable_store> durable_;  ///< null = memory only
   std::size_t topped_up_total_ = 0;
 };
 

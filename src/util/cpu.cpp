@@ -175,15 +175,6 @@ void require_available(simd_path path, const char* origin) {
 
 simd_path resolve_default_path() {
   if (const std::optional<simd_path> forced = env_simd_path()) return *forced;
-#if defined(NWDEC_DEPRECATED_SIMD_DEFAULT)
-  // The old NWDEC_SIMD=ON build compiled the kernels as explicit AVX2; the
-  // shim keeps that binary preferring avx2 but degrades gracefully where
-  // the hard-coded build would have crashed.
-  if (path_compiled(simd_path::avx2) &&
-      path_supported(detect(), simd_path::avx2)) {
-    return simd_path::avx2;
-  }
-#endif
   const std::vector<simd_path> paths = available_paths();
   return paths.empty() ? simd_path::scalar : paths.back();
 }

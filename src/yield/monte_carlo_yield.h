@@ -78,7 +78,7 @@ struct mc_options {
   /// Structural defect injection, sampled per trial when set.
   std::optional<fab::defect_params> defects;
   /// Process sigma override in volts; the design technology's sigma_vt
-  /// when unset (yield_sweep uses this to scan sigma on one context).
+  /// when unset (core::sweep_engine scans sigma on one context with it).
   std::optional<double> sigma_vt;
 };
 
@@ -90,8 +90,8 @@ mc_yield_result monte_carlo_yield(const decoder::decoder_design& design,
                                   const crossbar::contact_group_plan& plan,
                                   const mc_options& options, rng& random);
 
-/// Engine core on a prebuilt context: the amortized path yield_sweep uses
-/// to run many grid points without re-deriving the per-design tables.
+/// Engine core on a prebuilt context: the amortized path for running many
+/// grid points without re-deriving the per-design tables.
 /// `run_key` seeds the per-trial counter-based streams.
 mc_yield_result monte_carlo_yield(const trial_context& context,
                                   const mc_options& options,

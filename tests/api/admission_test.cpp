@@ -27,7 +27,7 @@ const std::string kSweep =
 
 TEST(AdmissionTest, WarmRepeatIsAnsweredInlineWithIdenticalBytes) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
 
   const std::string cold = dispatch.handle_line(kSweep);
   EXPECT_EQ(dispatch.scheduler().stats().submitted, 1u);
@@ -71,7 +71,7 @@ TEST(AdmissionTest, WarmRepeatIsAnsweredInlineWithIdenticalBytes) {
 
 TEST(AdmissionTest, PartiallyCachedSweepStillBecomesAJob) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   dispatch.handle_line(kSweep);  // warms sigmas 0.04 and 0.05
 
   // One warm point, one cold: inline admission must not split the
@@ -86,7 +86,7 @@ TEST(AdmissionTest, PartiallyCachedSweepStillBecomesAJob) {
 
 TEST(AdmissionTest, HigherTrialCountIsNotServedByAWeakerEntry) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   dispatch.handle_line(kSweep);  // trials 60
 
   dispatch.handle_line(
@@ -99,7 +99,7 @@ TEST(AdmissionTest, HigherTrialCountIsNotServedByAWeakerEntry) {
 
 TEST(AdmissionTest, AsyncSubmissionsAreNeverAnsweredInline) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   dispatch.handle_line(kSweep);
 
   // async asks for a job id; admission must hand one over even when the
@@ -115,7 +115,7 @@ TEST(AdmissionTest, AsyncSubmissionsAreNeverAnsweredInline) {
 
 TEST(AdmissionTest, KeyedInlineAnswersDeduplicateAndConflictLikeJobs) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   dispatch.handle_line(kSweep);  // warm, no key
 
   const std::string keyed =
@@ -145,7 +145,7 @@ TEST(AdmissionTest, KeyedInlineAnswersDeduplicateAndConflictLikeJobs) {
 
 TEST(AdmissionTest, AsyncRetryOfAnInlineKeyUpgradesToARealJob) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   dispatch.handle_line(kSweep);  // warm
 
   // Sync + keyed: answered inline, key recorded without a job.
@@ -178,7 +178,7 @@ TEST(AdmissionTest, AsyncRetryOfAnInlineKeyUpgradesToARealJob) {
 
 TEST(AdmissionTest, StatsDetailReportsAnsweredInline) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   dispatch.handle_line(kSweep);
   dispatch.handle_line(kSweep);
   const std::string stats =

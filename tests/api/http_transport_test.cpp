@@ -134,9 +134,7 @@ struct test_server {
   http_transport transport;
   std::thread thread;
 
-  explicit test_server(http_gateway_options gateway = {})
-      : handler(service, {2, "", 64}),
-        transport(0, 16, tcp_limits{}, gateway) {
+  test_server() : handler(service, {2, 64}), transport(0, 16, tcp_limits{}) {
     transport.set_event_source(&handler.scheduler());
     thread = std::thread([this] { transport.serve(handler); });
   }
@@ -157,7 +155,7 @@ TEST(HttpTransportTest, RpcBodyIsByteIdenticalToDirectDispatch) {
   std::string direct;
   {
     service::sweep_service service = make_service();
-    dispatcher reference(service, {2, "", 64});
+    dispatcher reference(service, {2, 64});
     direct = reference.handle_line(kSweep);
   }
   test_server server;
@@ -172,7 +170,7 @@ TEST(HttpTransportTest, MultiLineBodyAnswersNdjson) {
   std::vector<std::string> direct;
   {
     service::sweep_service service = make_service();
-    dispatcher reference(service, {2, "", 64});
+    dispatcher reference(service, {2, 64});
     direct.push_back(reference.handle_line(kSweep));
     direct.push_back(reference.handle_line(R"({"id":2,"kind":"stats"})"));
   }
@@ -241,7 +239,7 @@ TEST(HttpTransportTest, TransportLevelRefusals) {
 
 TEST(HttpTransportTest, OversizedRequestAnswers413AndCloses) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   tcp_limits tiny;
   tiny.max_request_bytes = 256;
   http_transport transport(0, 16, tiny);
@@ -266,7 +264,19 @@ TEST(HttpTransportTest, MetricsRouteServesTheExposition) {
   EXPECT_NE(
       response.find("Content-Type: text/plain; version=0.0.4; charset=utf-8"),
       std::string::npos);
+  EXPECT_NE(response.find("\r\n\r\n# TYPE "), std::string::npos) << response;
   EXPECT_NE(response.find("nwdec_uptime_seconds"), std::string::npos);
+
+  // The scrape route only answers GET, and a request line without a
+  // version is refused before any route.
+  const std::string method =
+      roundtrip(server.port(), "POST /metrics HTTP/1.1\r\n\r\n");
+  EXPECT_EQ(method.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u)
+      << method;
+  const std::string malformed =
+      roundtrip(server.port(), "POST /metrics\r\n\r\n");
+  EXPECT_EQ(malformed.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
+      << malformed;
 }
 
 TEST(HttpTransportTest, SseStreamEndsWithTheExactResultPayload) {

@@ -157,7 +157,7 @@ TEST(RobustnessTest, BoundedQueueShedsSubmissionsPastTheLimit) {
 
 TEST(RobustnessTest, DispatcherRendersOverloadAsTypedErrorResponse) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64, 1});
+  dispatcher handler(service, {1, 64, 1});
   const std::string busy =
       handler.handle_line(R"({"id":1,"kind":"refine","code":"BGC",)"
                           R"("length":8,"sigma_low":0.02,"sigma_high":0.12,)"
@@ -188,7 +188,7 @@ TEST(RobustnessTest, DispatcherRendersOverloadAsTypedErrorResponse) {
 
 TEST(RobustnessTest, DispatcherRendersDeadlineExpiryWithTimedOutCode) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   const std::string busy =
       handler.handle_line(R"({"id":1,"kind":"refine","code":"BGC",)"
                           R"("length":8,"sigma_low":0.02,"sigma_high":0.12,)"
@@ -208,7 +208,7 @@ TEST(RobustnessTest, DispatcherRendersDeadlineExpiryWithTimedOutCode) {
 
 TEST(RobustnessTest, DispatcherCancelOfRunningJobReportsCancelling) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   const std::string submitted = handler.handle_line(
       R"({"id":1,"kind":"sweep","codes":["BGC"],"lengths":[8],)"
       R"("trials":50000000,"async":true})");
@@ -228,7 +228,7 @@ TEST(RobustnessTest, DispatcherCancelOfRunningJobReportsCancelling) {
 
 TEST(RobustnessTest, DispatchFailpointTurnsIntoAnErrorResponse) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   failpoints::arm("api.dispatch.handle_line", failpoints::action::error);
   const std::string faulted =
       handler.handle_line(R"({"id":9,"kind":"stats"})");
@@ -243,7 +243,7 @@ TEST(RobustnessTest, DispatchFailpointTurnsIntoAnErrorResponse) {
 
 TEST(RobustnessTest, IdleConnectionsAreClosedWithATypedErrorLine) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   tcp_transport transport(0, 64, 150);  // 150 ms idle budget
   std::thread server([&] { transport.serve(handler); });
 
@@ -278,7 +278,7 @@ TEST(RobustnessTest, ActiveConnectionsOutliveTheIdleBudget) {
   // The timeout measures silence, not connection age: a client issuing
   // requests slower than the budget but faster than silence stays.
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   tcp_transport transport(0, 64, 300);
   std::thread server([&] { transport.serve(handler); });
 

@@ -48,7 +48,7 @@ const std::string kAsyncSweep =
 
 TEST(SubscribeTest, StreamsLifecycleAndTerminalResultMatchesStatusBytes) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
 
   const std::uint64_t job = job_of(dispatch.handle_line(kAsyncSweep));
   const std::string status = dispatch.handle_line(
@@ -99,7 +99,7 @@ TEST(SubscribeTest, StreamsLifecycleAndTerminalResultMatchesStatusBytes) {
 
 TEST(SubscribeTest, FromSeqReplaysOnlyTheTail) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   const std::uint64_t job = job_of(dispatch.handle_line(kAsyncSweep));
   dispatch.handle_line(R"({"id":2,"kind":"status","job":)" +
                        std::to_string(job) + R"(,"wait":true})");
@@ -117,7 +117,7 @@ TEST(SubscribeTest, FromSeqReplaysOnlyTheTail) {
 
 TEST(SubscribeTest, UnknownJobIsRefusedOnTheStream) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   capture_sink sink;
   dispatch.handle_stream(R"({"id":1,"kind":"subscribe","job":424242})",
                          sink);
@@ -129,7 +129,7 @@ TEST(SubscribeTest, UnknownJobIsRefusedOnTheStream) {
 
 TEST(SubscribeTest, OneShotTransportsRefuseSubscribe) {
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   const std::string answer =
       dispatch.handle_line(R"({"id":1,"kind":"subscribe","job":1})");
   EXPECT_NE(answer.find("\"ok\":false"), std::string::npos) << answer;
@@ -145,7 +145,7 @@ TEST(SubscribeTest, FailedJobStreamsItsErrorAsTheTerminalEvent) {
   failpoints::arm("api.job.sweep.evaluate", failpoints::action::error);
 
   service::sweep_service service = make_service();
-  dispatcher dispatch(service, {1, "", 64});
+  dispatcher dispatch(service, {1, 64});
   const std::uint64_t job = job_of(dispatch.handle_line(kAsyncSweep));
   const std::string status = dispatch.handle_line(
       R"({"id":2,"kind":"status","job":)" + std::to_string(job) +
@@ -167,7 +167,7 @@ TEST(SubscribeTest, FailedJobStreamsItsErrorAsTheTerminalEvent) {
 
 TEST(SubscribeTest, ResilientClientSubscribeWaitStreamsOverTcp) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {2, "", 64});
+  dispatcher handler(service, {2, 64});
   tcp_transport transport(0);
   std::thread server([&] { transport.serve(handler); });
 

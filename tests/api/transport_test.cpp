@@ -78,14 +78,14 @@ TEST(TcpTransportTest, SocketResponsesAreByteIdenticalToDirectDispatch) {
   std::vector<std::string> direct;
   {
     service::sweep_service service = make_service();
-    dispatcher reference(service, {1, "", 64});
+    dispatcher reference(service, {1, 64});
     for (const std::string& line : kScript) {
       direct.push_back(reference.handle_line(line));
     }
   }
 
   service::sweep_service service = make_service();
-  dispatcher handler(service, {2, "", 64});
+  dispatcher handler(service, {2, 64});
   tcp_transport transport(0);  // ephemeral port
   std::thread server([&] { transport.serve(handler); });
 
@@ -102,7 +102,7 @@ TEST(TcpTransportTest, SocketResponsesAreByteIdenticalToDirectDispatch) {
 
 TEST(TcpTransportTest, ServesConcurrentConnections) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {2, "", 256});
+  dispatcher handler(service, {2, 256});
   tcp_transport transport(0);
   std::thread server([&] { transport.serve(handler); });
 
@@ -138,7 +138,7 @@ TEST(TcpTransportTest, ServesConcurrentConnections) {
 
 TEST(TcpTransportTest, AsyncJobsWorkAcrossTheSocket) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {2, "", 64});
+  dispatcher handler(service, {2, 64});
   tcp_transport transport(0);
   std::thread server([&] { transport.serve(handler); });
 
@@ -161,7 +161,7 @@ TEST(TcpTransportTest, AnswersAFinalLineWithoutTrailingNewline) {
   // The stdio transport (std::getline) serves a script whose last request
   // lacks the trailing newline; the socket transport must too.
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   tcp_transport transport(0);
   std::thread server([&] { transport.serve(handler); });
 
@@ -197,7 +197,7 @@ TEST(TcpTransportTest, AnswersAFinalLineWithoutTrailingNewline) {
 
 TEST(TcpTransportTest, ShutdownUnblocksIdleConnections) {
   service::sweep_service service = make_service();
-  dispatcher handler(service, {1, "", 64});
+  dispatcher handler(service, {1, 64});
   tcp_transport transport(0);
   std::thread server([&] { transport.serve(handler); });
 

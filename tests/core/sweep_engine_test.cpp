@@ -59,7 +59,17 @@ void expect_entries_identical(const sweep_engine_entry& a,
 
 TEST(SweepEngineTest, BitIdenticalAcrossThreadCounts) {
   const sweep_engine engine = make_engine();
-  const std::vector<sweep_request> grid = small_grid(120);
+  std::vector<sweep_request> grid = small_grid(120);
+  // A sigma ladder on one design: its Monte-Carlo yield must also fall as
+  // the process variability grows.
+  const std::size_t ladder = grid.size();
+  for (const double sigma : {0.02, 0.05, 0.09}) {
+    sweep_request request;
+    request.design = {codes::code_type::gray, 2, 8};
+    request.sigma_vt = sigma;
+    request.mc_trials = 300;
+    grid.push_back(request);
+  }
   sweep_engine_options options;
   options.seed = 42;
 
@@ -75,6 +85,11 @@ TEST(SweepEngineTest, BitIdenticalAcrossThreadCounts) {
     expect_entries_identical(one.entries[k], two.entries[k]);
     expect_entries_identical(one.entries[k], eight.entries[k]);
   }
+  const auto mc_yield = [&](std::size_t k) {
+    return one.entries[ladder + k].evaluation.mc_nanowire_yield;
+  };
+  EXPECT_GE(mc_yield(0), mc_yield(1));
+  EXPECT_GT(mc_yield(1), mc_yield(2));
 }
 
 TEST(SweepEngineTest, InvariantUnderGridReordering) {

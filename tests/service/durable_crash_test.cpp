@@ -247,7 +247,7 @@ TEST(DurableCrashTest, KillMidSnapshotWriteLeavesTheOldSaveFileIntact) {
 
   EXPECT_EQ(read_file(path).value(), before);
   result_store reloaded(64);
-  EXPECT_TRUE(reloaded.load_file(path, kHeader));
+  reloaded.load_json(read_file(path).value(), kHeader);
   EXPECT_EQ(reloaded.size(), 1u);
 }
 

@@ -375,7 +375,7 @@ TEST(DurableStoreTest, FailedAtomicSnapshotWriteLeavesTheOldFileIntact) {
   // And the retry after the fault heals cleanly.
   store.save_file(path, kHeader);
   result_store reloaded(64);
-  EXPECT_TRUE(reloaded.load_file(path, kHeader));
+  reloaded.load_json(read_file(path).value(), kHeader);
   EXPECT_EQ(reloaded.size(), 2u);
 }
 
@@ -397,13 +397,13 @@ TEST(DurableStoreTest, ServiceEnableDurabilityPersistsAcrossRestart) {
     options.fsync = false;
     const recovery_report report = service.enable_durability(path, options);
     EXPECT_TRUE(report.warnings.empty());
-    EXPECT_TRUE(service.durable());
+    EXPECT_EQ(service.snapshot_path(), path);
     const sweep_response response = service.evaluate({point});
     EXPECT_EQ(response.computed, 1u);
     json_writer json;
     write_stored_result(json, response.points[0].result);
     cold_payload = json.str();
-    // No save_cache, no flush: durability is the WAL alone.
+    // No flush: durability is the WAL alone.
   }
 
   sweep_service restarted(crossbar::crossbar_spec{},
@@ -435,15 +435,15 @@ TEST(DurableStoreTest, ServiceSaveCacheCompactsTheDurablePath) {
   options.fsync = false;
   service.enable_durability(path, options);
   service.evaluate({point});
-  service.save_cache(path);
-  // save_cache on the durable path rotates: snapshot written, log reset.
+  service.flush(path, false);
+  // A flush to the durable path rotates: snapshot written, log reset.
   EXPECT_TRUE(std::filesystem::exists(path));
   EXPECT_EQ(file_size(path + ".log"), 16u);
 
   // Exporting to a DIFFERENT path stays a plain snapshot write and leaves
   // the durable log alone.
   const std::string exported = dir.file("export.json");
-  service.save_cache(exported);
+  service.flush(exported, false);
   EXPECT_TRUE(std::filesystem::exists(exported));
   EXPECT_FALSE(std::filesystem::exists(exported + ".log"));
 }

@@ -1,10 +1,10 @@
-// PR 8's observability surface, end to end at the protocol layer: the
+// The observability surface, end to end at the protocol layer: the
 // legacy stats wire shape stays byte-identical (regression against the
 // committed smoke golden), the `metrics` verb and the detailed stats
 // block expose the registry, status responses of ran jobs carry the trace
 // span object, recovery warnings emit one NDJSON record each, the global
-// counters track a scripted workload, and the --metrics-port HTTP
-// endpoint answers a real loopback scrape.
+// counters track a scripted workload, and GET /metrics on the HTTP
+// gateway answers a real loopback scrape that reflects in-band traffic.
 #include <gtest/gtest.h>
 
 #include <arpa/inet.h>
@@ -21,7 +21,6 @@
 #include "api/http_transport.h"
 #include "api/tcp_transport.h"
 #include "service/durable_store.h"
-#include "service/protocol.h"
 #include "service/sweep_service.h"
 #include "util/log.h"
 #include "util/metrics.h"
@@ -54,14 +53,14 @@ TEST(ObservabilityStatsTest, LegacyStatsWireShapeIsByteIdentical) {
       R"("plans_built":2,"plan_reuses":2}}})"
       "\n";
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   for (const std::string& line : kSmokeScript) handler.handle_line(line);
   EXPECT_EQ(handler.handle_line(R"({"id": 4, "kind": "stats"})"), golden);
 }
 
 TEST(ObservabilityStatsTest, DetailAddsUptimeQueueDepthAndLatency) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   handler.handle_line(kSmokeScript[0]);
   const std::string detail =
       handler.handle_line(R"({"id":9,"kind":"stats","detail":true})");
@@ -76,7 +75,7 @@ TEST(ObservabilityStatsTest, DetailAddsUptimeQueueDepthAndLatency) {
 
 TEST(ObservabilityMetricsVerbTest, SnapshotsTheRegistryInBand) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   handler.handle_line(kSmokeScript[0]);
   const std::string response =
       handler.handle_line(R"({"id":7,"kind":"metrics"})");
@@ -93,7 +92,7 @@ TEST(ObservabilityMetricsVerbTest, SnapshotsTheRegistryInBand) {
 
 TEST(ObservabilityTraceTest, StatusOfARanJobCarriesTheSpanObject) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string submitted = handler.handle_line(
       R"({"id":1,"kind":"sweep","codes":["BGC"],"lengths":[8],)"
       R"("sigmas_vt":[0.05],"trials":60,"async":true})");
@@ -133,7 +132,7 @@ TEST(ObservabilityCountersTest, StoreCountersTrackAScriptedWorkload) {
   const std::uint64_t misses_before = misses.value();
 
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  api::dispatcher handler(service);
   const std::string request =
       R"({"id":1,"kind":"sweep","codes":["BGC"],"lengths":[8],)"
       R"("sigmas_vt":[0.05,0.06],"trials":60})";
@@ -186,8 +185,9 @@ TEST(ObservabilityRecoveryTest, OneNdjsonRecordPerQuarantineWarning) {
   EXPECT_EQ(warnings_total.value(), after);
 }
 
-// Minimal blocking HTTP client for the scrape endpoint: one request, read
-// to EOF (the force_close gateway closes after answering).
+// Minimal blocking HTTP client: one request on a fresh connection, read
+// to EOF (every request sends Connection: close, so the gateway closes
+// after answering).
 std::string scrape(std::uint16_t port, const std::string& request) {
   const int fd = ::socket(AF_INET, SOCK_STREAM, 0);
   EXPECT_GE(fd, 0);
@@ -211,51 +211,37 @@ std::string scrape(std::uint16_t port, const std::string& request) {
 }
 
 TEST(ObservabilityScrapeTest, MetricsPortAnswersALoopbackScrape) {
-  // Seed the registry with at least one metric so the exposition is
-  // non-trivial even when this test runs alone.
-  metrics::registry::global().get_counter("nwdec_requests_total",
-                                          "kind=\"stats\"");
-  // The metrics listener is a metrics-only HTTP gateway: no RPC route,
-  // no events route, every response closes (force_close) so a plain
-  // read-to-EOF scrape works.
-  struct refuse_handler final : public api::line_handler {
-    std::string handle_line(const std::string&) override { return "{}\n"; }
-  } handler;
+  // The scrape endpoint is the /metrics route of the daemon's HTTP
+  // gateway (--http-port), served beside the RPC route.
+  sweep_service service = make_service();
+  api::dispatcher handler(service);
   api::tcp_limits limits;
   limits.idle_timeout_ms = 5000;
-  api::http_gateway_options scrape_only;
-  scrape_only.serve_rpc = false;
-  scrape_only.serve_events = false;
-  scrape_only.force_close = true;
-  api::http_transport transport(0, 16, limits, scrape_only);
+  api::http_transport transport(0, 16, limits);
   std::thread server([&] { transport.serve(handler); });
 
-  const std::string ok =
-      scrape(transport.port(), "GET /metrics HTTP/1.1\r\n\r\n");
+  // An in-band request over the same listener must show up in the scrape.
+  const std::string body = R"({"id":1,"kind":"stats"})";
+  const std::string rpc = scrape(
+      transport.port(), "POST /v1/rpc HTTP/1.1\r\nContent-Length: " +
+                            std::to_string(body.size()) +
+                            "\r\nConnection: close\r\n\r\n" + body);
+  EXPECT_EQ(rpc.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << rpc;
+
+  const std::string ok = scrape(
+      transport.port(), "GET /metrics HTTP/1.1\r\nConnection: close\r\n\r\n");
   EXPECT_EQ(ok.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << ok;
   EXPECT_NE(ok.find("Content-Type: text/plain; version=0.0.4"),
             std::string::npos);
   EXPECT_NE(ok.find("\r\n\r\n# TYPE "), std::string::npos) << ok;
   EXPECT_NE(ok.find("nwdec_uptime_seconds"), std::string::npos);
+  EXPECT_NE(ok.find("nwdec_requests_total{kind=\"stats\"} "),
+            std::string::npos)
+      << ok;
 
-  const std::string missing =
-      scrape(transport.port(), "GET /nope HTTP/1.1\r\n\r\n");
+  const std::string missing = scrape(
+      transport.port(), "GET /nope HTTP/1.1\r\nConnection: close\r\n\r\n");
   EXPECT_EQ(missing.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << missing;
-
-  // A metrics-only gateway refuses the RPC route outright (404: the
-  // route is not served here), and a wrong method on a served route is
-  // answered 405.
-  const std::string no_rpc = scrape(
-      transport.port(), "POST /v1/rpc HTTP/1.1\r\nContent-Length: 0\r\n\r\n");
-  EXPECT_EQ(no_rpc.rfind("HTTP/1.1 404 Not Found\r\n", 0), 0u) << no_rpc;
-
-  const std::string bad =
-      scrape(transport.port(), "POST /metrics HTTP/1.1\r\n\r\n");
-  EXPECT_EQ(bad.rfind("HTTP/1.1 405 Method Not Allowed\r\n", 0), 0u) << bad;
-
-  const std::string malformed = scrape(transport.port(), "POST /metrics\r\n\r\n");
-  EXPECT_EQ(malformed.rfind("HTTP/1.1 400 Bad Request\r\n", 0), 0u)
-      << malformed;
 
   transport.shutdown();
   server.join();

@@ -1,19 +1,21 @@
-// The sweep service and its NDJSON protocol: memoized evaluation, the
-// cold / warm / persisted byte-identity of result payloads, and the
-// request grammar's error handling.
-#include "service/protocol.h"
-
+// The sweep service and its NDJSON protocol (api::dispatcher): memoized
+// evaluation, the cold / warm / persisted byte-identity of result
+// payloads, and the request grammar's error handling.
 #include <gtest/gtest.h>
 
 #include <cstdio>
 #include <filesystem>
 #include <string>
 
+#include "api/dispatch.h"
 #include "service/sweep_service.h"
+#include "util/fs.h"
 #include "util/json.h"
 
 namespace nwdec::service {
 namespace {
+
+using api::dispatcher;
 
 sweep_service make_service(service_options options = {}) {
   return sweep_service(crossbar::crossbar_spec{}, device::paper_technology(),
@@ -28,18 +30,31 @@ core::sweep_request point(double sigma, std::size_t trials = 0) {
   return request;
 }
 
+// A store snapshot path plus the write-ahead log beside it.
 class temp_file {
  public:
   explicit temp_file(const std::string& name)
       : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
+    remove();
   }
-  ~temp_file() { std::remove(path_.c_str()); }
+  ~temp_file() { remove(); }
   const std::string& path() const { return path_; }
 
  private:
+  void remove() const {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".log").c_str());
+  }
   std::string path_;
 };
+
+// Durability without fsync: these tests need crash safety against the
+// process only.
+recovery_report make_durable(sweep_service& service, const std::string& path) {
+  durable_options options;
+  options.fsync = false;
+  return service.enable_durability(path, options);
+}
 
 // ---------------------------------------------------------- sweep_service
 
@@ -106,10 +121,11 @@ TEST(SweepServiceTest, PersistedCacheReproducesPayloadsByteIdentically) {
   {
     sweep_service service = make_service();
     cold_payload = to_json(service.evaluate(grid));
-    service.save_cache(cache.path());
+    service.flush(cache.path(), false);  // a memory-only service exports
   }
+  // The exported v2 document imports as a durable snapshot.
   sweep_service restarted = make_service();
-  EXPECT_TRUE(restarted.load_cache(cache.path()));
+  EXPECT_TRUE(make_durable(restarted, cache.path()).snapshot_loaded);
   const sweep_response warm = restarted.evaluate(grid);
   EXPECT_EQ(warm.cached, 2u);
   EXPECT_EQ(warm.computed, 0u);
@@ -121,24 +137,28 @@ TEST(SweepServiceTest, CacheRespectsServiceConfiguration) {
   {
     sweep_service service = make_service();
     service.evaluate({point(0.05, 50)});
-    service.save_cache(cache.path());
+    service.flush(cache.path(), false);
   }
+  const std::string text = read_file(cache.path()).value();
+  const auto load = [&text](sweep_service& service) {
+    service.store().load_json(text, service.header());
+  };
   service_options different;
   different.seed = 7;  // different seed -> different results -> reject
   sweep_service other = make_service(different);
-  EXPECT_THROW(other.load_cache(cache.path()), nwdec::error);
+  EXPECT_THROW(load(other), nwdec::error);
 
   service_options adaptive_opts;
   adaptive_opts.adaptive = adaptive_options{};
   sweep_service adaptive_service = make_service(adaptive_opts);
-  EXPECT_THROW(adaptive_service.load_cache(cache.path()), nwdec::error);
+  EXPECT_THROW(load(adaptive_service), nwdec::error);
 
   // A different technology invalidates the cache too: its parameters feed
   // every cached figure.
   device::technology other_tech = device::paper_technology();
   other_tech.sigma_vt = 0.06;
   sweep_service other_platform(crossbar::crossbar_spec{}, other_tech, {});
-  EXPECT_THROW(other_platform.load_cache(cache.path()), nwdec::error);
+  EXPECT_THROW(load(other_platform), nwdec::error);
 }
 
 // -------------------------------------------------------------- protocol
@@ -159,7 +179,8 @@ TEST(ProtocolTest, SweepResponsesAreByteIdenticalColdWarmPersisted) {
   std::string warm;
   {
     sweep_service service = make_service();
-    protocol_handler handler(service, cache.path());
+    make_durable(service, cache.path());
+    dispatcher handler(service);
     cold = handler.handle_line(request);
     warm = handler.handle_line(request);
     EXPECT_NE(cold.find("\"ok\":true"), std::string::npos);
@@ -169,8 +190,8 @@ TEST(ProtocolTest, SweepResponsesAreByteIdenticalColdWarmPersisted) {
     handler.handle_line(R"({"id": 2, "kind": "flush"})");
   }
   sweep_service restarted = make_service();
-  EXPECT_TRUE(restarted.load_cache(cache.path()));
-  protocol_handler handler(restarted, cache.path());
+  EXPECT_TRUE(make_durable(restarted, cache.path()).snapshot_loaded);
+  dispatcher handler(restarted);
   const std::string persisted = handler.handle_line(request);
   EXPECT_NE(persisted.find("\"cached\":4"), std::string::npos);
   EXPECT_EQ(result_of(persisted), result_of(cold));
@@ -178,7 +199,7 @@ TEST(ProtocolTest, SweepResponsesAreByteIdenticalColdWarmPersisted) {
 
 TEST(ProtocolTest, ResponsesAreSingleLines) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
   const std::string response = handler.handle_line(
       R"({"id": 1, "kind": "sweep", "codes": ["BGC"], "lengths": [8]})");
   EXPECT_EQ(response.find('\n'), response.size() - 1);
@@ -187,7 +208,7 @@ TEST(ProtocolTest, ResponsesAreSingleLines) {
 
 TEST(ProtocolTest, RefineRequestsRunThroughTheService) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
   const std::string response = handler.handle_line(
       R"({"id": 5, "kind": "refine", "code": "BGC", "length": 8,)"
       R"( "sigma_low": 0.02, "sigma_high": 0.12, "resolution": 0.01})");
@@ -206,7 +227,7 @@ TEST(ProtocolTest, RefineRequestsRunThroughTheService) {
 
 TEST(ProtocolTest, StatsReportStoreAndEngineCounters) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8]})");
   const std::string stats =
@@ -220,7 +241,8 @@ TEST(ProtocolTest, StatsReportStoreAndEngineCounters) {
 TEST(ProtocolTest, FlushPersistsAndOptionallyClears) {
   temp_file cache("nwdec_protocol_flush_test.json");
   sweep_service service = make_service();
-  protocol_handler handler(service, cache.path());
+  make_durable(service, cache.path());
+  dispatcher handler(service);
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8]})");
   const std::string flushed = handler.handle_line(
@@ -231,9 +253,9 @@ TEST(ProtocolTest, FlushPersistsAndOptionallyClears) {
   EXPECT_EQ(service.store().size(), 0u);
   EXPECT_TRUE(std::filesystem::exists(cache.path()));
 
-  // Without a cache path, flush answers but persists nothing.
+  // A memory-only service's flush answers but persists nothing.
   sweep_service memory_only = make_service();
-  protocol_handler no_file(memory_only, "");
+  dispatcher no_file(memory_only);
   const std::string unpersisted =
       no_file.handle_line(R"({"kind": "flush"})");
   EXPECT_NE(unpersisted.find("\"persisted\":false"), std::string::npos);
@@ -241,7 +263,7 @@ TEST(ProtocolTest, FlushPersistsAndOptionallyClears) {
 
 TEST(ProtocolTest, MalformedAndInvalidRequestsBecomeErrorResponses) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
 
   const std::string garbage = handler.handle_line("not json at all");
   EXPECT_NE(garbage.find("\"id\":null"), std::string::npos);
@@ -284,7 +306,7 @@ TEST(ProtocolTest, MalformedAndInvalidRequestsBecomeErrorResponses) {
 
 TEST(ProtocolTest, AsyncSubmissionReturnsTheJobIdImmediately) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
   const std::string submitted = handler.handle_line(
       R"({"id": 1, "kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "trials": 80, "async": true})");
@@ -307,7 +329,7 @@ TEST(ProtocolTest, AsyncSubmissionReturnsTheJobIdImmediately) {
 
 TEST(ProtocolTest, StatusAndCancelErrorPathsAnswerWithoutKillingTheLoop) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
 
   const std::string unknown_status =
       handler.handle_line(R"({"id": 1, "kind": "status", "job": 42})");
@@ -342,7 +364,7 @@ TEST(ProtocolTest, StatusAndCancelErrorPathsAnswerWithoutKillingTheLoop) {
 
 TEST(ProtocolTest, DetailStatsExposeClassSizesEvictionsAndJobCounters) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
   handler.handle_line(
       R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "trials": 50})");
@@ -353,7 +375,7 @@ TEST(ProtocolTest, DetailStatsExposeClassSizesEvictionsAndJobCounters) {
   EXPECT_EQ(legacy.find("cheap_entries"), std::string::npos);
   EXPECT_EQ(legacy.find("\"jobs\""), std::string::npos);
 
-  // ...and detail adds the PR 4 cost-class counters plus the scheduler's.
+  // ...and detail adds the cost-class counters plus the scheduler's.
   const std::string detail =
       handler.handle_line(R"({"id": 2, "kind": "stats", "detail": true})");
   EXPECT_NE(detail.find("\"cheap_entries\":0"), std::string::npos);
@@ -367,7 +389,7 @@ TEST(ProtocolTest, DetailStatsExposeClassSizesEvictionsAndJobCounters) {
 
 TEST(ProtocolTest, MinHalfWidthRequestsReportTopUpsInTheWrapper) {
   sweep_service service = make_service();
-  protocol_handler handler(service, "");
+  dispatcher handler(service);
   const std::string loose = handler.handle_line(
       R"({"id": 1, "kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
       R"( "sigmas_vt": [0.08], "trials": 100000, "min_half_width": 0.05})");
@@ -381,17 +403,20 @@ TEST(ProtocolTest, MinHalfWidthRequestsReportTopUpsInTheWrapper) {
 
 TEST(ProtocolTest, FlushClearWritesTheFileBeforeDroppingEntries) {
   temp_file cache("nwdec_protocol_flush_order_test.json");
-  sweep_service service = make_service();
-  protocol_handler handler(service, cache.path());
-  handler.handle_line(
-      R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
-      R"( "trials": 40})");
-  handler.handle_line(R"({"id": 1, "kind": "flush", "clear": true})");
-  EXPECT_EQ(service.stats().entries, 0u);
+  {
+    sweep_service service = make_service();
+    make_durable(service, cache.path());
+    dispatcher handler(service);
+    handler.handle_line(
+        R"({"kind": "sweep", "codes": ["BGC"], "lengths": [8],)"
+        R"( "trials": 40})");
+    handler.handle_line(R"({"id": 1, "kind": "flush", "clear": true})");
+    EXPECT_EQ(service.stats().entries, 0u);
+  }
 
-  // The persisted file must hold the entry that was just cleared.
+  // The persisted snapshot must hold the entry that was just cleared.
   sweep_service restored = make_service();
-  ASSERT_TRUE(restored.load_cache(cache.path()));
+  ASSERT_TRUE(make_durable(restored, cache.path()).snapshot_loaded);
   EXPECT_EQ(restored.stats().entries, 1u);
 }
 

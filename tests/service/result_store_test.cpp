@@ -12,6 +12,7 @@
 #include "core/sweep_engine.h"
 #include "store_entry_oracle.h"
 #include "util/error.h"
+#include "util/fs.h"
 #include "util/json.h"
 
 namespace nwdec::service {
@@ -302,12 +303,12 @@ TEST(ResultStoreTest, FileHelpersRoundTripAndSignalAbsence) {
   const store_header header{3, yield::mc_mode::window, 131072, 17};
   temp_file file("nwdec_result_store_test.json");
   result_store store(4);
-  EXPECT_FALSE(store.load_file(file.path(), header));  // cold cache
+  EXPECT_FALSE(read_file(file.path()).has_value());  // cold cache
 
   store.insert(key_of(make_result(0.04, 80)), make_result(0.04, 80));
   store.save_file(file.path(), header);
   result_store reloaded(4);
-  EXPECT_TRUE(reloaded.load_file(file.path(), header));
+  reloaded.load_json(read_file(file.path()).value(), header);
   EXPECT_EQ(reloaded.size(), 1u);
   EXPECT_EQ(reloaded.to_json(header), store.to_json(header));
 }

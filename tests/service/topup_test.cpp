@@ -11,6 +11,7 @@
 #include <vector>
 
 #include "service/sweep_service.h"
+#include "util/fs.h"
 #include "util/stats.h"
 
 namespace nwdec::service {
@@ -31,18 +32,31 @@ core::sweep_request cliff_point(std::size_t cap = 100000) {
   return request;
 }
 
+// A store snapshot path plus the write-ahead log beside it.
 class temp_file {
  public:
   explicit temp_file(const std::string& name)
       : path_((std::filesystem::temp_directory_path() / name).string()) {
-    std::remove(path_.c_str());
+    remove();
   }
-  ~temp_file() { std::remove(path_.c_str()); }
+  ~temp_file() { remove(); }
   const std::string& path() const { return path_; }
 
  private:
+  void remove() const {
+    std::remove(path_.c_str());
+    std::remove((path_ + ".log").c_str());
+  }
   std::string path_;
 };
+
+// Recovers the durable store at `path` (no fsync: the tests need crash
+// safety against the process only).
+recovery_report make_durable(sweep_service& service, const std::string& path) {
+  durable_options options;
+  options.fsync = false;
+  return service.enable_durability(path, options);
+}
 
 TEST(TopUpTest, TightenedTargetResumesAndMatchesColdBitwise) {
   sweep_service warm = make_service();
@@ -135,12 +149,12 @@ TEST(TopUpTest, TopsUpAcrossProcessRestarts) {
   std::size_t loose_trials = 0;
   {
     sweep_service first = make_service();
+    make_durable(first, cache.path());
     const sweep_response loose = first.evaluate({cliff_point()}, 0.05);
     loose_trials = loose.points[0].result.mc_trials_used;
-    first.save_cache(cache.path());
   }
   sweep_service second = make_service();
-  ASSERT_TRUE(second.load_cache(cache.path()));
+  ASSERT_EQ(make_durable(second, cache.path()).log_records, 1u);
   const sweep_response tightened = second.evaluate({cliff_point()}, 0.01);
   EXPECT_EQ(tightened.topped_up, 1u);
   EXPECT_GT(tightened.points[0].result.mc_trials_used, loose_trials);
@@ -153,10 +167,10 @@ TEST(TopUpTest, PersistedEntriesCarryTheResumableState) {
   temp_file cache("nwdec_topup_state_test.json");
   sweep_service service = make_service();
   service.evaluate({cliff_point()}, 0.05);
-  service.save_cache(cache.path());
+  service.flush(cache.path(), false);
 
   result_store restored;
-  ASSERT_TRUE(restored.load_file(cache.path(), service.header()));
+  restored.load_json(read_file(cache.path()).value(), service.header());
   const core::sweep_request resolved = service.resolve(cliff_point());
   const stored_result* entry =
       restored.find(core::fingerprint(resolved));
@@ -187,7 +201,8 @@ TEST(TopUpTest, FlushPersistsBeforeClearing) {
   EXPECT_EQ(service.stats().entries, 0u);  // memory dropped...
 
   sweep_service restored = make_service();
-  ASSERT_TRUE(restored.load_cache(cache.path()));  // ...file kept them
+  // ...the file kept them.
+  ASSERT_TRUE(make_durable(restored, cache.path()).snapshot_loaded);
   EXPECT_EQ(restored.stats().entries, 1u);
   const sweep_response warm = restored.evaluate({cliff_point(500)});
   EXPECT_EQ(warm.cached, 1u);

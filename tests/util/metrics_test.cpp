@@ -133,8 +133,8 @@ TEST(MetricsSnapshotTest, ResetZeroesValuesButKeepsRegistrations) {
 }
 
 // A small fixed workload whose two renderings are pinned byte for byte
-// below; the daemon's `metrics` verb and --metrics-port both rely on this
-// stability.
+// below; the daemon's `metrics` verb and its GET /metrics scrape both rely
+// on this stability.
 metrics_snapshot golden_snapshot(registry& reg) {
   reg.get_counter("nw_requests_total", "kind=\"stats\"").inc();
   reg.get_counter("nw_requests_total", "kind=\"sweep\"").inc(3);

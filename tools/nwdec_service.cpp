@@ -34,11 +34,10 @@
 //       $ nwdec_service --http-port 8080 --listen 4750 &
 //       $ curl -s http://127.0.0.1:8080/v1/rpc --data-binary @requests.ndjson
 //
-// Observability: --metrics-port serves the util/metrics registry in
-// Prometheus text format over HTTP (a metrics-only api/http_transport;
-// works with curl, Prometheus scrapes, and `printf 'GET /metrics
-// HTTP/1.0\r\n\r\n' | nc`); the same snapshot is available in-band via
-// the "metrics" request kind and on the gateway's /metrics route. Jobs
+// Observability: GET /metrics on --http-port serves the util/metrics
+// registry in Prometheus text format (works with curl, Prometheus
+// scrapes, and `printf 'GET /metrics HTTP/1.0\r\n\r\n' | nc`); the same
+// snapshot is available in-band via the "metrics" request kind. Jobs
 // slower than --slow-ms are logged as slow_request warn records with
 // their span breakdown. All telemetry is out-of-band: response payloads
 // are byte-identical with or without it.
@@ -49,7 +48,8 @@
 // cross-restart top-up -- is documented in src/api/types.h and
 // bench/README.md. Identical points are answered from the fingerprint-
 // keyed result store (service/result_store.h) instead of recomputed --
-// across requests, and, with --cache, across daemon restarts.
+// across requests, and, with --cache, across daemon restarts (crash-safe:
+// snapshot + write-ahead log, service/durable_store.h).
 #include <unistd.h>
 
 #include <algorithm>
@@ -83,11 +83,22 @@ std::size_t get_size(const cli_parser& cli, const std::string& name) {
   return static_cast<std::size_t>(value);
 }
 
+// A millisecond bound handed to poll(2) as an int: capped at 24 hours so
+// no value narrows into 0 ("never") or a negative window.
+int get_ms(const cli_parser& cli, const std::string& name) {
+  const std::size_t value = get_size(cli, name);
+  if (value > 86'400'000) {
+    throw invalid_argument_error("--" + name +
+                                 " must be at most 86400000 ms (24 hours)");
+  }
+  return static_cast<int>(value);
+}
+
 // The shutdown hook: signal handlers may only touch async-signal-safe
 // calls, so they write one byte to each listener's wake pipe. Up to
-// three listeners run at once (NDJSON socket, HTTP gateway, metrics
-// port); unused slots stay -1.
-volatile std::sig_atomic_t g_shutdown_fds[3] = {-1, -1, -1};
+// two listeners run at once (NDJSON socket, HTTP gateway); unused slots
+// stay -1.
+volatile std::sig_atomic_t g_shutdown_fds[2] = {-1, -1};
 
 extern "C" void on_signal(int) {
   for (const std::sig_atomic_t fd : g_shutdown_fds) {
@@ -107,8 +118,11 @@ int main(int argc, char** argv) {
                  "| refine | status | cancel | stats | flush | metrics; "
                  "async jobs, cross-request batching)");
   cli.add_string("cache", "",
-                 "result-store JSON file: loaded at startup, persisted on "
-                 "'flush' requests and at shutdown ('' = in-memory only)");
+                 "durable result-store snapshot (write-ahead log beside it "
+                 "at <path>.log): recovered at startup, appended per "
+                 "evaluation, compacted on 'flush' requests and at "
+                 "shutdown; a plain JSON store export imports in place "
+                 "('' = in-memory only)");
   cli.add_int("capacity", 1 << 16, "result-store capacity (LRU entries)");
   cli.add_int("listen", -1,
               "serve a TCP port instead of stdin/stdout (0 = ephemeral; "
@@ -169,10 +183,6 @@ int main(int argc, char** argv) {
                  "(debug | info | warn | error | off)");
   cli.add_string("log-file", "",
                  "append NDJSON log records to this file instead of stderr");
-  cli.add_int("metrics-port", -1,
-              "serve Prometheus text-format metrics over HTTP on this "
-              "port (0 = ephemeral; the bound port is in the "
-              "'metrics_listening' log record)");
   cli.add_int("slow-ms", 1000,
               "log jobs slower than this many milliseconds as "
               "'slow_request' warn records (0 = never)");
@@ -212,7 +222,8 @@ int main(int argc, char** argv) {
       // Crash-safe persistence: snapshot + write-ahead log. Recovery never
       // aborts the daemon -- corrupt files are quarantined (reported below)
       // and the daemon starts cold; a persistence layer that cannot even
-      // open falls back to in-memory service (shutdown still snapshots).
+      // open (unwritable directory) leaves the daemon serving from memory,
+      // persisting nothing.
       try {
         const service::recovery_report recovered =
             service.enable_durability(cache_path);
@@ -235,7 +246,6 @@ int main(int argc, char** argv) {
     {
       api::dispatcher::options dispatch_options;
       dispatch_options.workers = get_size(cli, "workers");
-      dispatch_options.cache_path = cache_path;
       dispatch_options.retain_finished =
           std::max<std::size_t>(1, get_size(cli, "retain"));
       dispatch_options.max_queued = get_size(cli, "max-queued");
@@ -245,18 +255,12 @@ int main(int argc, char** argv) {
 
       // One set of per-connection bounds protects every listener: the
       // NDJSON socket and the HTTP gateway share the tcp_limits verbatim.
-      const std::size_t idle_timeout = get_size(cli, "idle-timeout");
-      if (idle_timeout > 86'400'000) {
-        throw invalid_argument_error(
-            "--idle-timeout must be at most 86400000 ms (24 hours)");
-      }
       api::tcp_limits limits;
-      limits.idle_timeout_ms = static_cast<int>(idle_timeout);
-      limits.read_deadline_ms =
-          static_cast<int>(get_size(cli, "read-deadline"));
+      limits.idle_timeout_ms = get_ms(cli, "idle-timeout");
+      limits.read_deadline_ms = get_ms(cli, "read-deadline");
       limits.max_request_bytes = get_size(cli, "max-request-bytes");
       limits.max_connections = get_size(cli, "max-connections");
-      limits.drain_ms = static_cast<int>(get_size(cli, "drain-ms"));
+      limits.drain_ms = get_ms(cli, "drain-ms");
 
       // Drain wiring shared by the long-lived listeners: when a drain
       // begins, close the scheduler's event streams so subscription
@@ -273,36 +277,9 @@ int main(int argc, char** argv) {
         dispatcher.scheduler().cancel_all();
       };
 
-      // The Prometheus scrape endpoint: a metrics-only HTTP listener
-      // (no RPC, no events, every response closes), served from its own
-      // thread so it answers while the main transport blocks in its
-      // accept/read loop.
-      const std::int64_t metrics_port = cli.get_int("metrics-port");
-      std::unique_ptr<api::http_transport> metrics_transport;
-      std::thread metrics_thread;
-      if (metrics_port >= 0) {
-        if (metrics_port > 65535) {
-          throw invalid_argument_error("--metrics-port must be <= 65535");
-        }
-        api::tcp_limits scrape_limits;
-        scrape_limits.idle_timeout_ms = 10000;
-        api::http_gateway_options scrape_only;
-        scrape_only.serve_rpc = false;
-        scrape_only.serve_events = false;
-        scrape_only.force_close = true;
-        metrics_transport = std::make_unique<api::http_transport>(
-            static_cast<std::uint16_t>(metrics_port), 16, scrape_limits,
-            scrape_only);
-        logging::event(logging::level::info, "daemon", "metrics_listening")
-            .field("port", metrics_transport->port());
-        g_shutdown_fds[2] = metrics_transport->shutdown_fd();
-        metrics_thread = std::thread([&metrics_transport, &dispatcher] {
-          metrics_transport->serve(dispatcher);
-        });
-      }
-
-      // The HTTP/1.1 gateway: the full route set, served beside (not
-      // instead of) the main transport, under the same bounds.
+      // The HTTP/1.1 gateway (RPC, SSE job events, the /metrics scrape),
+      // served from its own thread beside (not instead of) the main
+      // transport, under the same bounds.
       const std::int64_t http_port = cli.get_int("http-port");
       std::unique_ptr<api::http_transport> http_gateway;
       std::thread http_thread;
@@ -353,23 +330,20 @@ int main(int argc, char** argv) {
         http_thread.join();
         g_shutdown_fds[1] = -1;
       }
-      if (metrics_transport) {
-        metrics_transport->shutdown();
-        metrics_thread.join();
-        g_shutdown_fds[2] = -1;
-      }
       // The dispatcher (and its scheduler workers) drain here, before the
       // final persistence snapshot below.
     }
 
-    // Shutdown persistence skips an empty store: after a
-    // `flush {"clear": true}` checkpoint the store is deliberately empty,
-    // and writing it out here would wipe the file the flush just persisted.
-    if (!cache_path.empty() && service.stats().entries > 0) {
-      service.save_cache(cache_path);
+    // Shutdown persistence compacts the durable store, and skips an empty
+    // one: after a `flush {"clear": true}` checkpoint the store is
+    // deliberately empty, and compacting it here would wipe the snapshot
+    // the flush just wrote.
+    const std::string snapshot = service.snapshot_path();
+    if (!snapshot.empty() && service.stats().entries > 0) {
+      service.flush(snapshot, false);
       logging::event(logging::level::info, "daemon", "persisted")
           .field("entries", service.stats().entries)
-          .field("cache", cache_path);
+          .field("cache", snapshot);
     }
     return exit_code;
   } catch (const std::exception& failure) {

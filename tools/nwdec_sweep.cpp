@@ -123,11 +123,13 @@ int main(int argc, char** argv) {
   cli.add_string("json", "SWEEP_report.json", "JSON report path ('' = off)");
   cli.add_string("csv", "", "CSV report path ('' = off)");
   cli.add_string("cache", "",
-                 "result-store JSON file (service::result_store): persisted "
-                 "point results are loaded before the sweep -- so repeated "
-                 "sweeps skip every previously computed point -- and the "
-                 "merged store is saved back after it ('' = no cache). The "
-                 "file is only reused under the same --seed/--mode/--raw-kb");
+                 "durable result store (service::durable_store snapshot, "
+                 "write-ahead log at <path>.log): persisted point results "
+                 "are recovered before the sweep -- so repeated sweeps skip "
+                 "every previously computed point -- and the merged store "
+                 "is checkpointed after it ('' = no cache). A plain JSON "
+                 "store export imports in place. The file is only reused "
+                 "under the same --seed/--mode/--raw-kb");
   cli.add_double("min-half-width", 0.0,
                  "per-point Wilson CI target (0 = fixed --trials budget): "
                  "each MC point stops at the first budget rung meeting it, "
@@ -190,34 +192,35 @@ int main(int argc, char** argv) {
       report = engine.run(axes, options);
     } else {
       // Ride the sweep service's result store: previously computed points
-      // come back from the cache file (or are topped up toward a tighter
-      // --min-half-width), only the rest hit the engine, and the merged
-      // store is persisted for the next invocation. Results are identical
-      // to the direct path (same seed/mode/point fingerprints).
+      // come back from the durable cache (or are topped up toward a
+      // tighter --min-half-width), only the rest hit the engine, and the
+      // merged store is checkpointed for the next invocation. Results are
+      // identical to the direct path (same seed/mode/point fingerprints).
       service::service_options service_options;
       service_options.threads = options.threads;
       service_options.seed = options.seed;
       service_options.mode = options.mode;
       service_options.mc_block_size = options.mc_block_size;
       service::sweep_service service(spec, tech, service_options);
-      // A stale or incompatible cache file must not block the sweep: run
-      // cold and overwrite it with fresh results (same policy as the
-      // daemon).
+      // A stale or incompatible cache file must not block the sweep:
+      // recovery quarantines it, the sweep runs cold, and the checkpoint
+      // writes fresh results (same policy as the daemon).
       if (!cache_path.empty()) {
-        try {
-          if (service.load_cache(cache_path)) {
-            std::cout << "cache: warmed " << service.store().size()
-                      << " results from " << cache_path << "\n";
-          }
-        } catch (const std::exception& failure) {
-          std::cerr << "nwdec_sweep: ignoring cache " << cache_path << " ("
-                    << failure.what() << ")\n";
+        const service::recovery_report recovered =
+            service.enable_durability(cache_path);
+        for (const std::string& warning : recovered.warnings) {
+          std::cerr << "nwdec_sweep: cache " << cache_path << ": " << warning
+                    << "\n";
+        }
+        if (service.store().size() > 0) {
+          std::cout << "cache: warmed " << service.store().size()
+                    << " results from " << cache_path << "\n";
         }
       }
       const service::sweep_response response =
           service.evaluate(axes, min_half_width);
       if (!cache_path.empty()) {
-        service.save_cache(cache_path);
+        service.flush(cache_path, false);
         std::cout << "cache: " << response.cached << " points served from "
                   << cache_path << ", " << response.computed << " computed";
         if (response.topped_up > 0) {
