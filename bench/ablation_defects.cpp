@@ -33,10 +33,12 @@ int main(int argc, char** argv) {
     const decoder::decoder_design design(code, 20, tech);
     const auto plan =
         crossbar::plan_contact_groups(20, code.size(), tech);
+    yield::mc_options options;
+    options.mode = yield::mc_mode::operational;
+    options.trials = trials;
+    options.defects = fab::defect_params{broken, bridged};
     rng random(seed);
-    return yield::monte_carlo_yield(
-               design, plan, yield::mc_mode::operational, trials, random,
-               fab::defect_params{broken, bridged})
+    return yield::monte_carlo_yield(design, plan, options, random)
         .nanowire_yield;
   };
 

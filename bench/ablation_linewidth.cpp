@@ -51,9 +51,13 @@ int main(int argc, char** argv) {
     const fab::realized_geometry sample =
         fab::simulate_spacer_geometry(20, params, geo_stream);
 
+    yield::mc_options options;
+    options.mode = yield::mc_mode::window;
+    options.trials = trials;
+    options.defects = rates;
     rng mc_stream(4);
-    const yield::mc_yield_result mc = yield::monte_carlo_yield(
-        design, plan, yield::mc_mode::window, trials, mc_stream, rates);
+    const yield::mc_yield_result mc =
+        yield::monte_carlo_yield(design, plan, options, mc_stream);
 
     table.add_row({format_fixed(sigma_nm, 1),
                    format_fixed(sample.pitch_error_rms_nm(10.0), 2),

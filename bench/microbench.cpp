@@ -85,10 +85,13 @@ void bm_operational_mc_trial(benchmark::State& state) {
   const codes::code code = codes::make_code(codes::code_type::gray, 2, 8);
   const decoder::decoder_design design(code, 20, tech);
   const auto plan = crossbar::plan_contact_groups(20, code.size(), tech);
+  yield::mc_options options;
+  options.mode = yield::mc_mode::operational;
+  options.trials = 1;
   rng random(1);
   for (auto _ : state) {
-    benchmark::DoNotOptimize(yield::monte_carlo_yield(
-        design, plan, yield::mc_mode::operational, 1, random));
+    benchmark::DoNotOptimize(
+        yield::monte_carlo_yield(design, plan, options, random));
   }
 }
 BENCHMARK(bm_operational_mc_trial);

@@ -21,6 +21,20 @@ json_writer begin_response(const json_value& id, const char* kind) {
   return json;
 }
 
+// Closes the envelope begin_response() opened into an "ok": true reply.
+reply finish(json_writer& json) { return {json.end_object().str(), true, ""}; }
+
+// The "ok": false reply every handler-level failure renders to.
+reply refuse(const json_value& id, const std::string& what,
+             const std::string& code = "") {
+  return {error_response_json(id, what, code), false, code};
+}
+
+reply unknown_job(const json_value& id, std::uint64_t job) {
+  return refuse(id, "unknown job id " + std::to_string(job) +
+                        " (never submitted, or already forgotten)");
+}
+
 }  // namespace
 
 std::string error_response_json(const json_value& id,
@@ -45,6 +59,19 @@ dispatcher::dispatcher(service::sweep_service& service, options opts)
                            opts.dedup_window}) {}
 
 std::string dispatcher::handle_line(const std::string& line) {
+  return dispatch(line, nullptr).line;
+}
+
+reply dispatcher::answer(const std::string& line) {
+  return dispatch(line, nullptr);
+}
+
+void dispatcher::handle_stream(const std::string& line, line_sink& sink) {
+  const reply answered = dispatch(line, &sink);
+  if (!answered.line.empty()) sink.write(answered.line);
+}
+
+reply dispatcher::dispatch(const std::string& line, line_sink* sink) {
   json_value id;  // null until the request parses far enough to carry one
   try {
     NWDEC_FAILPOINT("api.dispatch.handle_line");
@@ -56,16 +83,20 @@ std::string dispatcher::handle_line(const std::string& line) {
         .get_counter("nwdec_requests_total",
                      std::string("kind=\"") + kind_name(parsed) + "\"")
         .inc();
+    if (const auto* subscription = std::get_if<subscribe_request>(&parsed);
+        subscription != nullptr && sink != nullptr) {
+      return subscribe(*subscription, *sink);
+    }
     return std::visit([this](const auto& r) { return handle(r); }, parsed);
   } catch (const overloaded_error& failure) {
     metrics::registry::global().get_counter("nwdec_request_errors_total").inc();
-    return error_response_json(id, failure.what(), "overloaded");
+    return refuse(id, failure.what(), "overloaded");
   } catch (const conflict_error& failure) {
     metrics::registry::global().get_counter("nwdec_request_errors_total").inc();
-    return error_response_json(id, failure.what(), "request_id_conflict");
+    return refuse(id, failure.what(), "request_id_conflict");
   } catch (const std::exception& failure) {
     metrics::registry::global().get_counter("nwdec_request_errors_total").inc();
-    return error_response_json(id, failure.what());
+    return refuse(id, failure.what());
   }
 }
 
@@ -74,17 +105,16 @@ std::string dispatcher::handle_line(const std::string& line) {
 // "topped_up" member appears only when the request asked for a CI target
 // (or a fixed-budget point actually resumed), so fixed-budget requests
 // keep the exact golden-pinned shape.
-std::string dispatcher::sync_response(const json_value& id,
-                                      const job_result& job) {
+reply dispatcher::sync_response(const json_value& id,
+                                const job_result& job) {
   if (job.status.state == job_state::failed) {
-    return error_response_json(id, job.status.error);
+    return refuse(id, job.status.error);
   }
   if (job.status.state == job_state::cancelled) {
-    return error_response_json(id, "the job was cancelled");
+    return refuse(id, "the job was cancelled");
   }
   if (job.status.state == job_state::timed_out) {
-    return error_response_json(id, "the job's timeout_ms deadline expired",
-                               "timed_out");
+    return refuse(id, "the job's timeout_ms deadline expired", "timed_out");
   }
   if (job.status.state != job_state::done) {
     // Only a scheduler shutdown releases a synchronous wait before the
@@ -92,16 +122,15 @@ std::string dispatcher::sync_response(const json_value& id,
     // payload as success. The job never ran, so "draining" tells a
     // resilient client the request is safe to retry against the
     // restarted daemon.
-    return error_response_json(
-        id, "the service is shutting down before the job could run",
-        "draining");
+    return refuse(id, "the service is shutting down before the job could run",
+                  "draining");
   }
   json_writer json = begin_response(
       id, job.status.kind == "sweep" ? "sweep" : "refine");
   write_result_fields(json, result_payload{job.status.kind, job.sweep,
                                            job.refined,
                                            job.report_topped_up});
-  return json.end_object().str();
+  return finish(json);
 }
 
 // Shared submit path of the two job kinds: async submissions answer the
@@ -110,7 +139,7 @@ std::string dispatcher::sync_response(const json_value& id,
 // CURRENT state (it may already be running or done) plus
 // "deduplicated": true; first-time submissions keep their exact legacy
 // bytes, so the committed golden is unchanged.
-std::string dispatcher::submit_job(const request& parsed, const char* kind) {
+reply dispatcher::submit_job(const request& parsed, const char* kind) {
   const json_value& id = header_of(parsed).client_id;
   // Store-aware admission applies to synchronous sweeps only: async
   // submissions and refines need a job id, so they always enqueue.
@@ -143,32 +172,30 @@ std::string dispatcher::submit_job(const request& parsed, const char* kind) {
     } else {
       json.field("state", "queued");
     }
-    return json.end_object().str();
+    return finish(json);
   }
   const std::optional<job_result> done = scheduler_.wait(job);
   if (!done.has_value()) {
-    return error_response_json(id, "the job result expired unfetched");
+    return refuse(id, "the job result expired unfetched");
   }
   return sync_response(id, *done);
 }
 
-std::string dispatcher::handle(const sweep_request& request) {
+reply dispatcher::handle(const sweep_request& request) {
   return submit_job(request, "sweep");
 }
 
-std::string dispatcher::handle(const refine_request& request) {
+reply dispatcher::handle(const refine_request& request) {
   return submit_job(request, "refine");
 }
 
-std::string dispatcher::handle(const status_request& request) {
+reply dispatcher::handle(const status_request& request) {
   const json_value& id = request.header.client_id;
   const std::optional<job_result> job =
       request.wait ? scheduler_.wait(request.job)
                    : scheduler_.inspect(request.job);
   if (!job.has_value()) {
-    return error_response_json(
-        id, "unknown job id " + std::to_string(request.job) +
-                " (never submitted, or already forgotten)");
+    return unknown_job(id, request.job);
   }
   json_writer json = begin_response(id, "status");
   json.field("job", job->status.id)
@@ -208,16 +235,16 @@ std::string dispatcher::handle(const status_request& request) {
                                              job->refined,
                                              job->report_topped_up});
   }
-  return json.end_object().str();
+  return finish(json);
 }
 
-std::string dispatcher::handle(const cancel_request& request) {
+reply dispatcher::handle(const cancel_request& request) {
   const json_value& id = request.header.client_id;
   switch (scheduler_.cancel(request.job)) {
     case cancel_outcome::cancelled: {
       json_writer json = begin_response(id, "cancel");
       json.field("job", request.job).field("state", "cancelled");
-      return json.end_object().str();
+      return finish(json);
     }
     case cancel_outcome::cancelling: {
       // The running evaluation stops at its next cooperative check; a
@@ -225,23 +252,20 @@ std::string dispatcher::handle(const cancel_request& request) {
       // cancelled/done/failed state.
       json_writer json = begin_response(id, "cancel");
       json.field("job", request.job).field("state", "cancelling");
-      return json.end_object().str();
+      return finish(json);
     }
     case cancel_outcome::unknown:
-      return error_response_json(
-          id, "unknown job id " + std::to_string(request.job) +
-                  " (never submitted, or already forgotten)");
+      return unknown_job(id, request.job);
     case cancel_outcome::finished: break;
   }
   const std::optional<job_result> job = scheduler_.inspect(request.job);
-  return error_response_json(
-      id, "job " + std::to_string(request.job) + " is " +
-              (job.has_value() ? job_state_name(job->status.state)
-                               : "forgotten") +
-              " and can no longer be cancelled");
+  return refuse(id, "job " + std::to_string(request.job) + " is " +
+                        (job.has_value() ? job_state_name(job->status.state)
+                                         : "forgotten") +
+                        " and can no longer be cancelled");
 }
 
-std::string dispatcher::handle(const stats_request& request) {
+reply dispatcher::handle(const stats_request& request) {
   const service::service_stats stats = service_.stats();
   const service::service_options& options = service_.options();
 
@@ -325,10 +349,10 @@ std::string dispatcher::handle(const stats_request& request) {
         .end_object();
   }
   json.end_object();
-  return json.end_object().str();
+  return finish(json);
 }
 
-std::string dispatcher::handle(const metrics_request& request) {
+reply dispatcher::handle(const metrics_request& request) {
   // The uptime gauge is set here (not continuously) so snapshots are
   // consistent: every value in one response was read at the same moment.
   metrics::registry& registry = metrics::registry::global();
@@ -336,77 +360,43 @@ std::string dispatcher::handle(const metrics_request& request) {
   json_writer json = begin_response(request.header.client_id, "metrics");
   json.key("result");
   metrics::write_json(json, registry.snapshot());
-  return json.end_object().str();
+  return finish(json);
 }
 
-std::string dispatcher::handle(const subscribe_request& request) {
-  // Reachable only through handle_line(): a transport that cannot
-  // interleave pushed lines (the one-in/one-out contract) has no place
-  // to deliver a stream, so answering the ack and silently dropping the
+reply dispatcher::handle(const subscribe_request& request) {
+  // Reached without a sink: a one-in/one-out caller has no place to
+  // deliver a stream, so answering the ack and silently dropping the
   // events would be worse than refusing.
-  return error_response_json(
+  return refuse(
       request.header.client_id,
       "subscribe requires a streaming transport (socket or HTTP SSE); "
       "this transport answers exactly one line per request");
 }
 
-void dispatcher::handle_stream(const std::string& line, line_sink& sink) {
-  // Only "subscribe" diverges from the one-in/one-out path. Sniff the
-  // kind; on ANY failure fall through to handle_line(), which renders
-  // the same diagnostics it always has -- so malformed subscribes and
-  // every other kind behave exactly as before.
-  try {
-    const json_value root = json_parse(line);
-    if (root.is_object()) {
-      const json_value* kind = root.find("kind");
-      if (kind != nullptr && kind->as_string() == "subscribe") {
-        const request parsed = parse_request(root);
-        metrics::registry::global()
-            .get_counter("nwdec_requests_total", "kind=\"subscribe\"")
-            .inc();
-        serve_subscription(std::get<subscribe_request>(parsed), sink);
-        return;
-      }
-    }
-  } catch (const std::exception&) {
-    // handle_line() below re-raises and renders the diagnostic.
-  }
-  sink.write(handle_line(line));
-}
-
-void dispatcher::serve_subscription(const subscribe_request& request,
-                                    line_sink& sink) {
+reply dispatcher::subscribe(const subscribe_request& request,
+                            line_sink& sink) {
   const json_value& id = request.header.client_id;
   const std::shared_ptr<event_subscription> events =
       scheduler_.subscribe(request.job, request.from_seq);
-  if (events == nullptr) {
-    sink.write(error_response_json(
-        id, "unknown job id " + std::to_string(request.job) +
-                " (never submitted, or already forgotten)"));
-    return;
-  }
+  if (events == nullptr) return unknown_job(id, request.job);
   json_writer ack = begin_response(id, "subscribe");
   ack.field("job", request.job);
   if (request.from_seq != 0) ack.field("from", request.from_seq);
-  if (!sink.write(ack.end_object().str())) return;
-  for (;;) {
-    const std::optional<job_event> event = events->next(200);
-    if (event.has_value()) {
-      if (!sink.write(event->line)) return;  // peer gone: stop pumping
-      continue;
-    }
-    if (events->closed()) return;  // terminal / evicted / drained
+  if (sink.write(ack.end_object().str())) {
+    events->pump(
+        [&sink](const job_event& event) { return sink.write(event.line); });
   }
+  return {};  // everything went to the sink
 }
 
-std::string dispatcher::handle(const flush_request& request) {
+reply dispatcher::handle(const flush_request& request) {
   const service::flush_summary summary =
       service_.flush(service_.snapshot_path(), request.clear);
   json_writer json = begin_response(request.header.client_id, "flush");
   json.field("persisted", summary.persisted)
       .field("entries", summary.entries)
       .field("cleared", request.clear);
-  return json.end_object().str();
+  return finish(json);
 }
 
 }  // namespace nwdec::api

@@ -1,12 +1,19 @@
 // api::dispatcher: typed request dispatch, decoupled from any transport.
 //
-// handle_line() is the whole service surface: one NDJSON request line in,
-// exactly one single-line JSON response out (trailing newline included),
-// never throwing -- every failure, from malformed JSON up, becomes an
+// Every request takes one path: the line is parsed once (json_parse, then
+// the typed grammar in api/types.h) and the typed request is dispatched.
+// The entry points differ only in where the answer goes:
+//   * handle_line() -- one NDJSON request line in, exactly one
+//     single-line JSON response out (trailing newline included);
+//   * answer() -- the same, plus the verdict (ok, error code), so the
+//     HTTP gateway picks its status without re-parsing the response;
+//   * handle_stream() -- responses go to a line_sink, and "subscribe"
+//     pushes the job's event lines after its ack (stdio and TCP).
+// None of them throws: every failure, from malformed JSON up, becomes an
 // "ok": false response echoing the request's "id" (null when absent or
-// unparseable). It is safe to call from any number of transport threads
-// concurrently (the TCP server calls it from one thread per connection;
-// the stdio loop from one). The request grammar lives in api/types.h.
+// unparseable). They are safe to call from any number of transport
+// threads concurrently (one thread per TCP/HTTP connection; the stdio
+// loop from one).
 //
 // Sweep and refine requests become jobs on the scheduler. Synchronous
 // requests submit, wait, and render the completed job in the wire shape
@@ -38,33 +45,25 @@
 namespace nwdec::api {
 
 /// Where a streaming request's response lines go: a transport-owned sink
-/// (socket writer, SSE chunk encoder, ostream). write() returns false
-/// when the peer is gone -- the producer must stop pumping then.
+/// (socket writer, ostream). write() returns false when the peer is gone
+/// -- the producer must stop pumping then.
 class line_sink {
  public:
   virtual ~line_sink() = default;
   virtual bool write(const std::string& line) = 0;
 };
 
-/// One NDJSON request line in, one response line out. Implemented by the
-/// dispatcher; transports depend only on this.
-class line_handler {
- public:
-  virtual ~line_handler() = default;
-  virtual std::string handle_line(const std::string& line) = 0;
-
-  /// Streaming entry point: most requests write exactly their
-  /// handle_line() response to the sink, but a handler may keep writing
-  /// (the dispatcher's "subscribe" pumps job events until the stream
-  /// ends). Transports that can interleave pushed lines call this;
-  /// handle_line() stays the one-in/one-out surface for those that
-  /// cannot.
-  virtual void handle_stream(const std::string& line, line_sink& sink) {
-    sink.write(handle_line(line));
-  }
+/// One answered request: the response line and the verdict it renders,
+/// so a transport can map the outcome (an HTTP status) without parsing
+/// its own response back. `line` is empty when a streaming "subscribe"
+/// already wrote everything to its sink.
+struct reply {
+  std::string line;
+  bool ok = true;
+  std::string code;  ///< the error's "code" member ("" when it has none)
 };
 
-class dispatcher final : public line_handler {
+class dispatcher {
  public:
   struct options {
     /// Scheduler worker threads (0 = hardware concurrency).
@@ -85,36 +84,43 @@ class dispatcher final : public line_handler {
   explicit dispatcher(service::sweep_service& service);
   dispatcher(service::sweep_service& service, options opts);
 
-  std::string handle_line(const std::string& line) override;
+  /// One request line in, one response line out; "subscribe" is refused
+  /// (there is nowhere to push its events).
+  std::string handle_line(const std::string& line);
 
-  /// handle_line() plus push delivery: a "subscribe" request pumps job
-  /// lifecycle events at the sink until the stream is terminal (or the
-  /// sink's write fails); every other request behaves exactly like
-  /// handle_line().
-  void handle_stream(const std::string& line, line_sink& sink) override;
+  /// handle_line() with the verdict attached (the HTTP gateway's entry).
+  reply answer(const std::string& line);
+
+  /// handle_line() plus push delivery: every response goes to the sink,
+  /// and a "subscribe" request writes its ack and then the job's
+  /// lifecycle events until the stream ends (or the sink's write fails).
+  void handle_stream(const std::string& line, line_sink& sink);
 
   job_scheduler& scheduler() { return scheduler_; }
 
  private:
+  /// The one request path: parses the line once, then dispatches the
+  /// typed request. Without a sink a "subscribe" is refused.
+  reply dispatch(const std::string& line, line_sink* sink);
   /// Shared sweep/refine submission path (async reply or synchronous
   /// wait; request_id retries report their existing job; fully-cached
   /// synchronous sweeps are answered inline by the scheduler's
   /// store-aware admission).
-  std::string submit_job(const request& parsed, const char* kind);
-  std::string handle(const sweep_request& request);
-  std::string handle(const refine_request& request);
-  std::string handle(const status_request& request);
-  std::string handle(const cancel_request& request);
-  std::string handle(const stats_request& request);
-  std::string handle(const flush_request& request);
-  std::string handle(const metrics_request& request);
-  std::string handle(const subscribe_request& request);
-  /// The streaming side of "subscribe": ack line, then one line per
-  /// event until terminal / overflow / drain / sink failure.
-  void serve_subscription(const subscribe_request& request,
-                          line_sink& sink);
+  reply submit_job(const request& parsed, const char* kind);
+  reply handle(const sweep_request& request);
+  reply handle(const refine_request& request);
+  reply handle(const status_request& request);
+  reply handle(const cancel_request& request);
+  reply handle(const stats_request& request);
+  reply handle(const flush_request& request);
+  reply handle(const metrics_request& request);
+  /// "subscribe" without a sink: refused.
+  reply handle(const subscribe_request& request);
+  /// "subscribe" with a sink: ack line, then one line per event until
+  /// terminal / overflow / drain / sink failure.
+  reply subscribe(const subscribe_request& request, line_sink& sink);
   /// Renders a terminal job in the legacy synchronous wire shape.
-  std::string sync_response(const json_value& id, const job_result& job);
+  reply sync_response(const json_value& id, const job_result& job);
 
   service::sweep_service& service_;
   job_scheduler scheduler_;

@@ -9,6 +9,10 @@ namespace nwdec::api {
 
 namespace {
 
+// How long the pump waits before re-checking a quiet feed, in ms. Every
+// push and close wakes it sooner, so this never affects delivered bytes.
+constexpr int kEventPollMs = 250;
+
 struct bus_metrics {
   metrics::counter& published;
   metrics::counter& delivered;
@@ -51,6 +55,18 @@ std::optional<job_event> event_subscription::next(int timeout_ms) {
 bool event_subscription::closed() const {
   const std::lock_guard<std::mutex> lock(mutex_);
   return closed_ && queue_.empty();
+}
+
+bool event_subscription::pump(
+    const std::function<bool(const job_event&)>& deliver) {
+  for (;;) {
+    const std::optional<job_event> event = next(kEventPollMs);
+    if (event.has_value()) {
+      if (!deliver(*event)) return false;
+      continue;
+    }
+    if (closed()) return true;
+  }
 }
 
 std::uint64_t event_bus::publish(std::uint64_t job, const char* type,

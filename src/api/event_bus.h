@@ -75,6 +75,13 @@ class event_subscription {
   std::optional<job_event> next(int timeout_ms);
   bool closed() const;
 
+  /// The one event pump, behind both the NDJSON "subscribe" verb and the
+  /// HTTP SSE route (they differ only in framing): hands every event to
+  /// `deliver`, in order, until the feed ends (terminal, event_overflow
+  /// or draining delivered) or `deliver` returns false (peer gone).
+  /// Returns true when the feed ended.
+  bool pump(const std::function<bool(const job_event&)>& deliver);
+
  private:
   friend class event_bus;
   mutable std::mutex mutex_;

@@ -1,17 +1,10 @@
 #include "api/http_transport.h"
 
-#include <poll.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <cstdio>
-#include <optional>
 #include <vector>
 
 #include "api/dispatch.h"
 #include "api/event_bus.h"
-#include "api/job_scheduler.h"
 #include "api/transport_metrics.h"
 #include "util/metrics.h"
 #include "util/net.h"
@@ -19,10 +12,6 @@
 namespace nwdec::api {
 
 namespace {
-
-// SSE pump poll granularity: how often a quiet stream checks for
-// drain/disconnect, in ms. Never affects delivered bytes.
-constexpr int kSsePollMs = 250;
 
 // An error answered at the HTTP layer still carries the NDJSON error
 // shape in its body, so a client can treat every failure uniformly.
@@ -50,16 +39,6 @@ std::string sse_chunk(const job_event& event) {
   return size + frame + "\r\n";
 }
 
-// The response "code" drives the HTTP status of single-request bodies;
-// responses are the dispatcher's own output, so the parse cannot fail.
-int status_of_response_line(const std::string& line) {
-  const json_value root = json_parse(line);
-  const json_value* ok = root.find("ok");
-  const json_value* code = root.find("code");
-  return http::status_for_code(code != nullptr ? code->as_string() : "",
-                               ok != nullptr && ok->as_bool());
-}
-
 }  // namespace
 
 http_transport::http_transport(std::uint16_t port, int backlog,
@@ -74,61 +53,27 @@ std::string http_transport::shed_response() const {
       "too_many_connections", {"Retry-After: 1"});
 }
 
-void http_transport::serve_connection(int client, line_handler& handler) {
-  using clock = std::chrono::steady_clock;
+void http_transport::serve_connection(int client, dispatcher& dispatch) {
+  connection_reader reader(client, limits());
   http::request_parser parser(limits().max_request_bytes);
-  char chunk[4096];
-  // When the current (partial) request's first byte arrived -- the HTTP
-  // analogue of the NDJSON transport's partial-line clock.
-  clock::time_point request_since{};
   for (;;) {
-    // Same two clocks as the raw socket: the idle clock runs while no
-    // request is in flight (expiry closes silently -- nothing was owed),
-    // the read deadline runs from a request's first byte (expiry answers
-    // 408 -- the peer started something and deserves the diagnosis).
-    int wait_ms =
-        parser.idle() && limits().idle_timeout_ms > 0
-            ? limits().idle_timeout_ms
-            : -1;
-    if (!parser.idle() && limits().read_deadline_ms > 0) {
-      const auto deadline =
-          request_since +
-          std::chrono::milliseconds(limits().read_deadline_ms);
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                clock::now())
-              .count();
-      if (remaining <= 0) {
-        transport_metrics::get().read_timeouts.inc();
-        net::send_all(client,
-                      http_error(408,
-                                 "request incomplete past the read "
-                                 "deadline; closing connection",
-                                 "read_timeout"));
-        return;
-      }
-      wait_ms = static_cast<int>(remaining);
+    // Idle expiry closes silently (no request in flight, nothing owed);
+    // a request cut off by the read deadline is answered 408 (the peer
+    // started something and deserves the diagnosis).
+    const connection_reader::status status = reader.next(!parser.idle());
+    if (status == connection_reader::status::read_timeout) {
+      net::send_all(client, http_error(408,
+                                       "request incomplete past the read "
+                                       "deadline; closing connection",
+                                       "read_timeout"));
+      return;
     }
-    if (wait_ms >= 0) {
-      pollfd waiting{client, POLLIN, 0};
-      const int ready = ::poll(&waiting, 1, wait_ms);
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready < 0) return;
-      if (ready == 0) {
-        if (!parser.idle()) continue;  // deadline check above decides
-        transport_metrics::get().idle_timeouts.inc();
-        return;  // idle close: no request in flight, nothing owed
-      }
-    }
-    const ssize_t n = ::read(client, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) return;
-    if (parser.idle()) request_since = clock::now();
-    parser.consume(chunk, static_cast<std::size_t>(n));
+    if (status != connection_reader::status::data) return;
+    parser.consume(reader.data(), reader.size());
     while (parser.state() == http::request_parser::phase::complete) {
-      if (!handle_request(client, parser.result(), handler)) return;
+      if (!handle_request(client, parser.result(), dispatch)) return;
       parser.reset();  // may complete again on pipelined leftovers
-      request_since = clock::now();
+      reader.request_done();
     }
     if (parser.state() == http::request_parser::phase::failed) {
       if (parser.error_status() == 413) {
@@ -146,7 +91,7 @@ void http_transport::serve_connection(int client, line_handler& handler) {
 
 bool http_transport::handle_request(int client,
                                     const http::request& request,
-                                    line_handler& handler) {
+                                    dispatcher& dispatch) {
   // During drain every response closes so peers reconnect to a live
   // instance instead of queueing more work on a dying one.
   const bool keep_alive = request.keep_alive && !draining();
@@ -166,7 +111,7 @@ bool http_transport::handle_request(int client,
                     http_error(405, "only POST is supported on /v1/rpc"));
       return false;
     }
-    return serve_rpc(client, request, handler, keep_alive);
+    return serve_rpc(client, request, dispatch, keep_alive);
   }
   if (path.rfind("/v1/jobs/", 0) == 0 && path.size() > 16 &&
       path.compare(path.size() - 7, 7, "/events") == 0) {
@@ -191,7 +136,7 @@ bool http_transport::handle_request(int client,
                     http_error(404, "malformed job id in '" + path + "'"));
       return false;
     }
-    serve_events(client, request, job);
+    serve_events(client, request, dispatch, job);
     return false;  // the stream always ends the connection
   }
   net::send_all(
@@ -203,10 +148,10 @@ bool http_transport::handle_request(int client,
 }
 
 bool http_transport::serve_rpc(int client, const http::request& request,
-                               line_handler& handler, bool keep_alive) {
+                               dispatcher& dispatch, bool keep_alive) {
   // The body is the NDJSON protocol verbatim: one request per line, each
   // answered with exactly the line the raw socket would produce.
-  std::vector<std::string> responses;
+  std::vector<reply> responses;
   std::size_t cursor = 0;
   while (cursor <= request.body.size()) {
     std::size_t end = request.body.find('\n', cursor);
@@ -215,7 +160,7 @@ bool http_transport::serve_rpc(int client, const http::request& request,
     cursor = end + 1;
     if (!line.empty() && line.back() == '\r') line.pop_back();
     if (line.empty()) continue;
-    responses.push_back(handler.handle_line(line));
+    responses.push_back(dispatch.answer(line));
   }
   if (responses.empty()) {
     net::send_all(client,
@@ -228,19 +173,19 @@ bool http_transport::serve_rpc(int client, const http::request& request,
     // status so plain HTTP clients get retry semantics without parsing
     // the body. 503 carries Retry-After, matching the backoff the
     // resilient client applies to the same codes.
-    const int status = status_of_response_line(responses.front());
+    const reply& only = responses.front();
+    const int status = http::status_for_code(only.code, only.ok);
     std::vector<std::string> extra;
     if (status == 503) extra.push_back("Retry-After: 1");
-    return net::send_all(
-               client, http::response(status, "application/json",
-                                      responses.front(), keep_alive,
-                                      extra)) &&
+    return net::send_all(client,
+                         http::response(status, "application/json",
+                                        only.line, keep_alive, extra)) &&
            keep_alive;
   }
   // A batch answers 200 + NDJSON: per-line verdicts live in the lines,
   // exactly as they do on the socket.
   std::string body;
-  for (const std::string& response : responses) body += response;
+  for (const reply& response : responses) body += response.line;
   return net::send_all(client,
                        http::response(200, "application/x-ndjson", body,
                                       keep_alive)) &&
@@ -263,7 +208,7 @@ bool http_transport::serve_metrics(int client, const http::request&,
 }
 
 void http_transport::serve_events(int client, const http::request& request,
-                                  std::uint64_t job) {
+                                  dispatcher& dispatch, std::uint64_t job) {
   std::uint64_t from = 0;
   const std::string from_param = request.query_param("from");
   for (const char c : from_param) {
@@ -274,7 +219,7 @@ void http_transport::serve_events(int client, const http::request& request,
     from = from * 10 + static_cast<std::uint64_t>(c - '0');
   }
   const std::shared_ptr<event_subscription> events =
-      scheduler_ == nullptr ? nullptr : scheduler_->subscribe(job, from);
+      dispatch.scheduler().subscribe(job, from);
   if (events == nullptr) {
     net::send_all(client,
                   http_error(404, "unknown job id " + std::to_string(job) +
@@ -291,28 +236,10 @@ void http_transport::serve_events(int client, const http::request& request,
                      "\r\n")) {
     return;
   }
-  for (;;) {
-    const std::optional<job_event> event = events->next(kSsePollMs);
-    if (event.has_value()) {
-      if (!net::send_all(client, sse_chunk(*event))) return;
-      continue;
-    }
-    if (events->closed()) break;
-    if (draining()) {
-      // Fallback for a listener whose drain-start action was not wired
-      // to close_event_streams(): end the stream ourselves so the drain
-      // window can finish. Subscribers treat it like the bus's own
-      // draining event: reconnect, resume from the last seen id.
-      job_event drain_event;
-      drain_event.job = job;
-      drain_event.type = "draining";
-      drain_event.line = "{\"job\":" + std::to_string(job) +
-                         ",\"event\":\"draining\",\"code\":\"draining\"}\n";
-      net::send_all(client, sse_chunk(drain_event));
-      break;
-    }
-  }
-  net::send_all(client, "0\r\n\r\n");  // chunked-encoding terminator
+  const bool ended = events->pump([client](const job_event& event) {
+    return net::send_all(client, sse_chunk(event));
+  });
+  if (ended) net::send_all(client, "0\r\n\r\n");  // chunked terminator
 }
 
 }  // namespace nwdec::api

@@ -7,13 +7,16 @@
 //     one or more request lines, each dispatched exactly as the raw
 //     socket would (same dispatcher, byte-identical response lines). A
 //     single-line body answers with the HTTP status mapped from the
-//     response's error "code" (http::status_for_code; 503 carries
-//     Retry-After: 1) and Content-Type: application/json; a multi-line
+//     dispatcher's verdict on it (its error "code", via
+//     http::status_for_code; 503 carries Retry-After: 1) and
+//     Content-Type: application/json; a multi-line
 //     body always answers 200 with application/x-ndjson (per-line
 //     statuses live in the lines themselves, exactly like the socket).
 //   * GET /v1/jobs/{id}/events[?from=N] -- the job's lifecycle event
 //     stream as Server-Sent Events (Content-Type: text/event-stream,
-//     chunked): one frame per event, `id:` = the event's sequence
+//     chunked), pumped by the same loop as the NDJSON "subscribe" verb
+//     (event_subscription::pump) and reached through the dispatcher's
+//     scheduler: one frame per event, `id:` = the event's sequence
 //     number, `event:` = its type, `data:` = the exact NDJSON event
 //     line (newline stripped). The terminal frame's "result" payload is
 //     byte-identical to a status {"wait": true} response's. The stream
@@ -27,7 +30,7 @@
 // Transfer-Encoding body -> 411, request over max_request_bytes -> 413
 // (connection closes), unknown path -> 404, wrong method -> 405, a
 // request cut off by read_deadline_ms -> 408 (connection closes), idle
-// past idle_timeout_ms -> silent close (nothing was in flight),
+// past idle_timeout_ms -> silent close (connection_reader's clocks),
 // over-cap accept -> 503 with Retry-After (the chassis sheds it).
 // Keep-alive follows HTTP/1.1 semantics; during drain every response
 // closes (Connection: close) so peers re-connect elsewhere.
@@ -41,34 +44,27 @@
 
 namespace nwdec::api {
 
-class job_scheduler;
-
 class http_transport final : public socket_server {
  public:
   http_transport(std::uint16_t port, int backlog, tcp_limits limits);
 
-  /// Wires the events route to a scheduler. Unset, GET
-  /// /v1/jobs/{id}/events answers 404. Set before serve().
-  void set_event_source(job_scheduler* scheduler) { scheduler_ = scheduler; }
-
  protected:
-  void serve_connection(int client, line_handler& handler) override;
+  void serve_connection(int client, dispatcher& dispatch) override;
   std::string shed_response() const override;
 
  private:
   /// Serves one parsed request; returns false when the connection must
   /// close (error, explicit Connection: close, SSE stream ended).
   bool handle_request(int client, const http::request& request,
-                      line_handler& handler);
+                      dispatcher& dispatch);
   bool serve_rpc(int client, const http::request& request,
-                 line_handler& handler, bool keep_alive);
+                 dispatcher& dispatch, bool keep_alive);
   bool serve_metrics(int client, const http::request& request,
                      bool keep_alive);
-  /// The SSE pump; always ends the connection.
+  /// The SSE route: the job's event feed in SSE framing; always ends the
+  /// connection.
   void serve_events(int client, const http::request& request,
-                    std::uint64_t job);
-
-  job_scheduler* scheduler_ = nullptr;
+                    dispatcher& dispatch, std::uint64_t job);
 };
 
 }  // namespace nwdec::api

@@ -22,8 +22,6 @@ double seconds_between(std::chrono::steady_clock::time_point from,
 }
 
 // Job lifecycle metrics; resolved once, relaxed-atomic updates after.
-// All increments happen under the scheduler mutex, so counter totals
-// agree exactly with scheduler_stats.
 struct scheduler_metrics {
   metrics::counter& submitted_sweep;
   metrics::counter& submitted_refine;
@@ -64,6 +62,19 @@ struct scheduler_metrics {
     return instance;
   }
 };
+
+// Counts one scheduler event in both places it is read: this instance's
+// scheduler_stats (the `stats` verb) and the process-wide registry
+// counter (/metrics). The stats stay per instance because the registry
+// is shared by every scheduler in the process (tests and the replay
+// bench run several). Callers hold the scheduler mutex, so the two agree
+// exactly.
+void count_event(scheduler_stats& stats,
+                 std::size_t scheduler_stats::*field,
+                 metrics::counter& counter, std::size_t n = 1) {
+  stats.*field += n;
+  counter.inc(n);
+}
 
 }  // namespace
 
@@ -239,8 +250,8 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     NWDEC_EXPECTS(!stopping_, "the job scheduler is shutting down");
     if (const dedup_entry* entry = dedup_lookup_locked();
         entry != nullptr && entry->job != 0) {
-      ++stats_.deduplicated;
-      scheduler_metrics::get().deduplicated.inc();
+      count_event(stats_, &scheduler_stats::deduplicated,
+                  scheduler_metrics::get().deduplicated);
       outcome.job = entry->job;
       outcome.deduplicated = true;
       return outcome;
@@ -269,13 +280,13 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
           entry != nullptr) {
         outcome.deduplicated = true;
         if (entry->job != 0) {
-          ++stats_.deduplicated;
-          scheduler_metrics::get().deduplicated.inc();
+          count_event(stats_, &scheduler_stats::deduplicated,
+                      scheduler_metrics::get().deduplicated);
           outcome.job = entry->job;
           return outcome;
         }
-        ++stats_.deduplicated;
-        scheduler_metrics::get().deduplicated.inc();
+        count_event(stats_, &scheduler_stats::deduplicated,
+                    scheduler_metrics::get().deduplicated);
       } else if (!dedup_key.empty()) {
         dedup_.emplace(dedup_key, dedup_entry{0, dedup_payload});
         dedup_order_.push_back(dedup_key);
@@ -284,8 +295,8 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
           dedup_order_.pop_front();
         }
       }
-      ++stats_.answered_inline;
-      scheduler_metrics::get().answered_inline.inc();
+      count_event(stats_, &scheduler_stats::answered_inline,
+                  scheduler_metrics::get().answered_inline);
       outcome.inline_sweep = std::make_shared<const service::sweep_response>(
           std::move(*served));
       return outcome;
@@ -303,8 +314,8 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     NWDEC_EXPECTS(!stopping_, "the job scheduler is shutting down");
     dedup_entry* existing = dedup_lookup_locked();
     if (existing != nullptr && existing->job != 0) {
-      ++stats_.deduplicated;
-      scheduler_metrics::get().deduplicated.inc();
+      count_event(stats_, &scheduler_stats::deduplicated,
+                  scheduler_metrics::get().deduplicated);
       outcome.job = existing->job;
       outcome.deduplicated = true;
       return outcome;
@@ -314,8 +325,8 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     // latency. Shed before allocating an id so rejected submissions
     // leave no trace beyond the counter.
     if (options_.max_queued > 0 && queue_.size() >= options_.max_queued) {
-      ++stats_.shed;
-      scheduler_metrics::get().shed.inc();
+      count_event(stats_, &scheduler_stats::shed,
+                  scheduler_metrics::get().shed);
       throw overloaded_error("job queue is full (" +
                              std::to_string(options_.max_queued) +
                              " jobs waiting); retry later");
@@ -346,10 +357,10 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     }
     jobs_.emplace(id, record);
     queue_.emplace(-record->priority, id);
-    ++stats_.submitted;
-    (record->kind == "sweep" ? scheduler_metrics::get().submitted_sweep
-                             : scheduler_metrics::get().submitted_refine)
-        .inc();
+    scheduler_metrics& metrics = scheduler_metrics::get();
+    count_event(stats_, &scheduler_stats::submitted,
+                record->kind == "sweep" ? metrics.submitted_sweep
+                                        : metrics.submitted_refine);
     publish_event_locked(*record, "queued", false,
                          json_fragment([&](json_writer& json) {
                            json.field("kind", record->kind);
@@ -538,19 +549,20 @@ void job_scheduler::finish(job_record& job, job_state state) {
     --stats_.running;
   }
   job.state = state;
-  switch (state) {
-    case job_state::done: ++stats_.completed; break;
-    case job_state::failed: ++stats_.failed; break;
-    case job_state::cancelled: ++stats_.cancelled; break;
-    case job_state::timed_out: ++stats_.timed_out; break;
-    default: break;
-  }
   scheduler_metrics& metrics = scheduler_metrics::get();
   switch (state) {
-    case job_state::done: metrics.completed.inc(); break;
-    case job_state::failed: metrics.failed.inc(); break;
-    case job_state::cancelled: metrics.cancelled.inc(); break;
-    case job_state::timed_out: metrics.timed_out.inc(); break;
+    case job_state::done:
+      count_event(stats_, &scheduler_stats::completed, metrics.completed);
+      break;
+    case job_state::failed:
+      count_event(stats_, &scheduler_stats::failed, metrics.failed);
+      break;
+    case job_state::cancelled:
+      count_event(stats_, &scheduler_stats::cancelled, metrics.cancelled);
+      break;
+    case job_state::timed_out:
+      count_event(stats_, &scheduler_stats::timed_out, metrics.timed_out);
+      break;
     default: break;
   }
   job.trace.total_seconds =
@@ -647,10 +659,10 @@ void job_scheduler::run_sweep_batch(std::unique_lock<std::mutex>& lock) {
     batch.push_back(job);
   }
   if (batch.empty()) return;  // every queued sweep had already expired
-  ++stats_.sweep_batches;
-  stats_.sweep_jobs_batched += batch.size();
-  scheduler_metrics::get().sweep_batches.inc();
-  scheduler_metrics::get().sweep_jobs_batched.inc(batch.size());
+  count_event(stats_, &scheduler_stats::sweep_batches,
+              scheduler_metrics::get().sweep_batches);
+  count_event(stats_, &scheduler_stats::sweep_jobs_batched,
+              scheduler_metrics::get().sweep_jobs_batched, batch.size());
 
   lock.unlock();
   service::sweep_response response;

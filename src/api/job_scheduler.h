@@ -136,9 +136,10 @@ class job_scheduler {
   std::shared_ptr<event_subscription> subscribe(std::uint64_t job,
                                                 std::uint64_t from_seq);
 
-  /// Drain hook: pushes a closing "draining" event to every live event
-  /// subscriber and closes their feeds (event_bus::close_all), so
-  /// subscription-pumping connection threads exit promptly on SIGTERM.
+  /// Drain hook (the socket chassis calls it when shutdown begins):
+  /// pushes a closing "draining" event to every live event subscriber
+  /// and closes their feeds (event_bus::close_all), so subscription-
+  /// pumping connection threads exit promptly on SIGTERM.
   void close_event_streams();
 
   /// Snapshot of a job (result payload included once done); nullopt for
@@ -157,9 +158,10 @@ class job_scheduler {
 
   /// Cancels every non-terminal job at once: queued jobs finish
   /// cancelled immediately, running jobs get the cooperative flag.
-  /// Returns how many jobs were touched. The daemon's drain deadline
-  /// calls this so a connection thread blocked in a synchronous wait()
-  /// is released instead of pinning the process past its drain budget.
+  /// Returns how many jobs were touched. The socket chassis calls this
+  /// when its drain window expires, so a connection thread blocked in a
+  /// synchronous wait() is released instead of pinning the process past
+  /// its drain budget.
   std::size_t cancel_all();
 
   scheduler_stats stats() const;

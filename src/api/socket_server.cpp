@@ -71,7 +71,49 @@ void socket_server::shutdown() {
   [[maybe_unused]] const ssize_t n = ::write(wake_write_, &wake, 1);
 }
 
-int socket_server::serve(line_handler& handler) {
+connection_reader::status connection_reader::next(bool partial) {
+  using clock = std::chrono::steady_clock;
+  for (;;) {
+    int wait_ms = limits_.idle_timeout_ms > 0 ? limits_.idle_timeout_ms : -1;
+    const bool deadlined = partial && limits_.read_deadline_ms > 0;
+    if (deadlined) {
+      const auto remaining =
+          std::chrono::duration_cast<std::chrono::milliseconds>(
+              partial_since_ +
+              std::chrono::milliseconds(limits_.read_deadline_ms) -
+              clock::now())
+              .count();
+      if (remaining <= 0) {
+        transport_metrics::get().read_timeouts.inc();
+        return status::read_timeout;
+      }
+      wait_ms = static_cast<int>(remaining);
+    }
+    if (wait_ms >= 0) {
+      pollfd waiting{fd_, POLLIN, 0};
+      const int ready = ::poll(&waiting, 1, wait_ms);
+      if (ready < 0 && errno == EINTR) continue;
+      if (ready < 0) return status::closed;
+      if (ready == 0) {
+        if (deadlined) continue;  // the deadline check above decides
+        transport_metrics::get().idle_timeouts.inc();
+        return status::idle_timeout;
+      }
+    }
+    const ssize_t n = ::read(fd_, chunk_, sizeof(chunk_));
+    if (n < 0 && errno == EINTR) continue;
+    if (n <= 0) return status::closed;
+    if (!partial) partial_since_ = clock::now();
+    size_ = static_cast<std::size_t>(n);
+    return status::data;
+  }
+}
+
+void connection_reader::request_done() {
+  partial_since_ = std::chrono::steady_clock::now();
+}
+
+int socket_server::serve(dispatcher& dispatch) {
   for (;;) {
     pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
     const int ready = ::poll(fds, 2, -1);
@@ -104,8 +146,8 @@ int socket_server::serve(line_handler& handler) {
       transport_metrics::get().accepted.inc();
       transport_metrics::get().active.set(static_cast<double>(active_));
     }
-    std::thread([this, client, &handler] {
-      serve_connection(client, handler);
+    std::thread([this, client, &dispatch] {
+      serve_connection(client, dispatch);
       // Deregister before close so a reused fd number can never be
       // confused with this connection by a concurrent shutdown().
       {
@@ -125,12 +167,11 @@ int socket_server::serve(line_handler& handler) {
     }).detach();
   }
 
-  // Shutdown observed: flip the drain flag and run the start action
-  // BEFORE half-closing anything, so connection loops that poll
-  // draining() (SSE pumps) and subscribers parked on event streams are
-  // released into the same drain window as ordinary requests.
+  // Shutdown observed: flip the drain flag and close the event streams
+  // BEFORE half-closing anything, so subscribers parked on event streams
+  // are released into the same drain window as ordinary requests.
   draining_.store(true, std::memory_order_relaxed);
-  if (drain_start_action_) drain_start_action_();
+  dispatch.scheduler().close_event_streams();
 
   std::unique_lock<std::mutex> lock(mutex_);
   if (limits_.drain_ms > 0 && active_ > 0) {
@@ -152,14 +193,12 @@ int socket_server::serve(line_handler& handler) {
       transport_metrics::get().drain_forced.inc(stragglers);
       logging::event(logging::level::warn, "tcp", "drain_deadline")
           .field("forced", stragglers);
-      if (drain_deadline_action_) {
-        // A force-closed socket cannot unblock a thread waiting inside a
-        // synchronous evaluation; the action (the daemon wires it to
-        // cancel every outstanding job) releases those cooperatively.
-        lock.unlock();
-        drain_deadline_action_();
-        lock.lock();
-      }
+      // A force-closed socket cannot unblock a thread waiting inside a
+      // synchronous evaluation; cancelling every outstanding job releases
+      // those cooperatively.
+      lock.unlock();
+      dispatch.scheduler().cancel_all();
+      lock.lock();
     }
     transport_metrics::get().drain_seconds.set(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
@@ -167,7 +206,7 @@ int socket_server::serve(line_handler& handler) {
             .count());
   }
   // Unblock every remaining connection thread (reads AND writes fail
-  // from here), then wait for the last one to deregister -- `handler`
+  // from here), then wait for the last one to deregister -- `dispatch`
   // and `this` must outlive them.
   for (const int client : clients_) ::shutdown(client, SHUT_RDWR);
   idle_cv_.wait(lock, [this] { return active_ == 0; });

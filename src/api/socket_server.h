@@ -7,12 +7,14 @@
 // reporting), the accept loop with its async-signal-safe shutdown wake
 // pipe, connection registration and accept-shedding at max_connections,
 // one detached thread per connection with deregister-before-close
-// bookkeeping, and graceful drain (half-close, bounded wait, the
-// drain-deadline action, force-close). A protocol front end derives and
-// implements exactly two things: serve_connection() -- the per-
-// connection read/answer loop -- and shed_response() -- the bytes an
-// over-cap connection is answered with before closing (an NDJSON error
-// line or an HTTP 503, each in its own protocol).
+// bookkeeping, the connection wait (connection_reader: the idle and
+// read-deadline clocks around poll), and graceful drain (close the
+// dispatcher's event streams, half-close, bounded wait, cancel the jobs
+// still running when the window expires, force-close). A protocol front
+// end derives and implements exactly two things: serve_connection() --
+// the per-connection framing and answer loop -- and shed_response() --
+// the bytes an over-cap connection is answered with before closing (an
+// NDJSON error line or an HTTP 503, each in its own protocol).
 //
 // The per-connection resource bounds (tcp_limits) are shared verbatim
 // across protocols: the same --idle-timeout / --read-deadline /
@@ -21,10 +23,10 @@
 #pragma once
 
 #include <atomic>
+#include <chrono>
 #include <condition_variable>
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <mutex>
 #include <string>
 #include <vector>
@@ -54,6 +56,40 @@ struct tcp_limits {
   int drain_ms = 0;
 };
 
+/// One connection's read side under the tcp_limits clocks -- the single
+/// wait every socket front end uses. Two clocks run: while no request is
+/// part-received, the idle clock (idle_timeout_ms, restarted by every
+/// read); once one is, the read-deadline clock (read_deadline_ms from
+/// the request's first byte, restarted by request_done()) -- a slowloris
+/// peer dribbling one byte per poll still runs out of budget. A partial
+/// request with no read deadline stays on the idle clock. The front end
+/// answers each timeout in its own protocol; the reader counts it.
+class connection_reader {
+ public:
+  enum class status { data, closed, idle_timeout, read_timeout };
+
+  connection_reader(int fd, const tcp_limits& limits)
+      : fd_(fd), limits_(limits) {}
+
+  /// Waits for the next bytes and reads them into data()/size().
+  /// `partial` says whether a request is part-received; closed covers
+  /// EOF and every socket error.
+  status next(bool partial);
+
+  /// A request completed: the next one's read deadline counts from now.
+  void request_done();
+
+  const char* data() const { return chunk_; }
+  std::size_t size() const { return size_; }
+
+ private:
+  int fd_;
+  const tcp_limits& limits_;
+  std::chrono::steady_clock::time_point partial_since_{};
+  char chunk_[4096];
+  std::size_t size_ = 0;
+};
+
 class socket_server : public transport {
  public:
   /// Binds and listens immediately (so port() is valid before serve());
@@ -67,8 +103,13 @@ class socket_server : public transport {
   /// The bound port (the ephemeral pick when constructed with 0).
   std::uint16_t port() const { return port_; }
 
-  /// Accept loop; returns 0 after shutdown() completes it.
-  int serve(line_handler& handler) override;
+  /// Accept loop; returns 0 after shutdown() completes it. When shutdown
+  /// begins, the dispatcher's event streams are closed (subscription
+  /// pumps end like any other in-flight request); when the drain window
+  /// expires with connections still busy, its outstanding jobs are
+  /// cancelled (a force-closed socket alone cannot release a thread
+  /// waiting on a synchronous evaluation).
+  int serve(dispatcher& dispatch) override;
 
   /// Requests serve() to stop; safe from any thread, idempotent.
   void shutdown();
@@ -78,29 +119,9 @@ class socket_server : public transport {
   /// signal handler.
   int shutdown_fd() const { return wake_write_; }
 
-  /// True once shutdown has been observed by serve(): connection loops
-  /// use it to stop starting long-lived work (an SSE pump checks it so a
-  /// stream can end even if its subscription never closes).
+  /// True once shutdown has been observed by serve() (the HTTP gateway
+  /// closes every response from then on).
   bool draining() const { return draining_.load(std::memory_order_relaxed); }
-
-  /// Runs once when serve() begins shutting down, BEFORE connections are
-  /// half-closed -- the daemon wires it to close the scheduler's event
-  /// streams so subscription-pumping connection threads can drain like
-  /// any other in-flight request. Set before serve(); called without
-  /// transport locks held.
-  void set_drain_start_action(std::function<void()> action) {
-    drain_start_action_ = std::move(action);
-  }
-
-  /// Runs when the drain window expires with connections still busy --
-  /// before they are force-closed. The daemon points this at the
-  /// scheduler's cancel_all() so a connection thread blocked inside a
-  /// long synchronous evaluation is released cooperatively (a force-
-  /// closed socket alone cannot unblock a thread waiting on a job).
-  /// Set before serve(); called without transport locks held.
-  void set_drain_deadline_action(std::function<void()> action) {
-    drain_deadline_action_ = std::move(action);
-  }
 
  protected:
   const tcp_limits& limits() const { return limits_; }
@@ -108,7 +129,7 @@ class socket_server : public transport {
   /// The per-connection protocol loop. Runs on a detached thread; must
   /// NOT close `client` or touch the registration bookkeeping -- the
   /// chassis deregisters and closes after it returns.
-  virtual void serve_connection(int client, line_handler& handler) = 0;
+  virtual void serve_connection(int client, dispatcher& dispatch) = 0;
 
   /// The bytes an accept past max_connections is answered with before
   /// the immediate close (protocol-appropriate: an NDJSON
@@ -122,8 +143,6 @@ class socket_server : public transport {
   std::uint16_t port_ = 0;
   tcp_limits limits_;
   std::atomic<bool> draining_{false};
-  std::function<void()> drain_start_action_;
-  std::function<void()> drain_deadline_action_;
 
   // Connection threads run detached (a long-lived daemon must not hoard
   // one joinable thread per connection ever served); serve() instead

@@ -1,11 +1,5 @@
 #include "api/tcp_transport.h"
 
-#include <poll.h>
-#include <sys/socket.h>
-#include <unistd.h>
-
-#include <cerrno>
-#include <chrono>
 #include <string>
 
 #include "api/transport_metrics.h"
@@ -53,85 +47,44 @@ std::string tcp_transport::shed_response() const {
       "too_many_connections");
 }
 
-void tcp_transport::serve_connection(int client, line_handler& handler) {
-  using clock = std::chrono::steady_clock;
+void tcp_transport::serve_connection(int client, dispatcher& dispatch) {
+  connection_reader reader(client, limits());
   std::string buffer;
-  char chunk[4096];
   bool peer_gone = false;
   socket_sink sink(client, peer_gone);
-  // When the buffered partial line started (slowloris clock); reset every
-  // time the buffer drains back to empty.
-  clock::time_point partial_since{};
   const auto answer = [&](std::string line) {
     if (!line.empty() && line.back() == '\r') line.pop_back();  // nc/telnet
     if (line.empty()) return;
-    handler.handle_stream(line, sink);
+    dispatch.handle_stream(line, sink);
+  };
+  // A bound that closes the connection says why (a client stuck
+  // mid-request deserves a diagnosis, not a silent RST), and the buffered
+  // fragments are dropped: answering them after announcing the close
+  // would contradict it.
+  const auto close_with = [&](const std::string& what, const char* code) {
+    net::send_all(client, error_response_json(json_value(), what, code));
+    buffer.clear();
   };
   for (;;) {
-    // Bound how long a peer may hold this connection thread (and its fd)
-    // without progress: poll before blocking in read, and on expiry say
-    // why the connection is closing -- a client stuck mid-request
-    // deserves a diagnosis, not a silent RST. Two clocks run here: the
-    // idle clock resets on every received byte; the read-deadline clock
-    // only resets when a full line arrives, so a slowloris peer dribbling
-    // one byte per poll still runs out of budget.
-    int wait_ms =
-        limits().idle_timeout_ms > 0 ? limits().idle_timeout_ms : -1;
-    if (!buffer.empty() && limits().read_deadline_ms > 0) {
-      const auto deadline =
-          partial_since +
-          std::chrono::milliseconds(limits().read_deadline_ms);
-      const auto remaining =
-          std::chrono::duration_cast<std::chrono::milliseconds>(deadline -
-                                                                clock::now())
-              .count();
-      if (remaining <= 0) {
-        transport_metrics::get().read_timeouts.inc();
-        net::send_all(client,
-                      error_response_json(
-                          json_value(),
-                          "request line incomplete past the read deadline; "
-                          "closing connection",
-                          "read_timeout"));
-        // The peer was just told this line never completed; answering its
-        // fragments after that would contradict the diagnosis.
-        buffer.clear();
-        break;
-      }
-      if (wait_ms < 0 || remaining < wait_ms)
-        wait_ms = static_cast<int>(remaining);
+    const connection_reader::status status = reader.next(!buffer.empty());
+    if (status == connection_reader::status::idle_timeout) {
+      close_with("connection idle for too long; closing", "idle_timeout");
+      break;
     }
-    if (wait_ms >= 0) {
-      pollfd waiting{client, POLLIN, 0};
-      const int ready = ::poll(&waiting, 1, wait_ms);
-      if (ready < 0 && errno == EINTR) continue;
-      if (ready < 0) break;
-      if (ready == 0) {
-        if (!buffer.empty() && limits().read_deadline_ms > 0) {
-          // Could be either clock; loop back so the deadline check above
-          // decides (and emits the read_timeout line if it expired).
-          continue;
-        }
-        transport_metrics::get().idle_timeouts.inc();
-        net::send_all(client,
-                      error_response_json(json_value(),
-                                          "connection idle for too long; "
-                                          "closing",
-                                          "idle_timeout"));
-        buffer.clear();  // never answer fragments after announcing a close
-        break;
-      }
+    if (status == connection_reader::status::read_timeout) {
+      close_with(
+          "request line incomplete past the read deadline; closing "
+          "connection",
+          "read_timeout");
+      break;
     }
-    const ssize_t n = ::read(client, chunk, sizeof(chunk));
-    if (n < 0 && errno == EINTR) continue;
-    if (n <= 0) break;
-    if (buffer.empty()) partial_since = clock::now();
-    buffer.append(chunk, static_cast<std::size_t>(n));
+    if (status == connection_reader::status::closed) break;
+    buffer.append(reader.data(), reader.size());
     std::size_t newline = 0;
     while (!peer_gone && (newline = buffer.find('\n')) != std::string::npos) {
       std::string line = buffer.substr(0, newline);
       buffer.erase(0, newline + 1);
-      partial_since = clock::now();  // the next line's budget starts now
+      reader.request_done();  // the next line's budget starts now
       answer(std::move(line));
     }
     if (buffer.size() > limits().max_request_bytes) {
@@ -140,15 +93,10 @@ void tcp_transport::serve_connection(int client, line_handler& handler) {
       // requests are a few hundred bytes; the largest sane grids are
       // well under the 4 MiB default.
       transport_metrics::get().oversized.inc();
-      net::send_all(
-          client,
-          error_response_json(
-              json_value(),
-              "request line exceeds the " +
-                  std::to_string(limits().max_request_bytes) +
-                  " byte limit; closing connection",
-              "payload_too_large"));
-      buffer.clear();
+      close_with("request line exceeds the " +
+                     std::to_string(limits().max_request_bytes) +
+                     " byte limit; closing connection",
+                 "payload_too_large");
       break;
     }
     if (peer_gone) break;

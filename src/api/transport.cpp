@@ -28,12 +28,12 @@ class ostream_sink final : public line_sink {
 
 }  // namespace
 
-int stdio_transport::serve(line_handler& handler) {
+int stdio_transport::serve(dispatcher& dispatch) {
   ostream_sink sink(out_);
   std::string line;
   while (std::getline(in_, line)) {
     if (line.empty()) continue;
-    handler.handle_stream(line, sink);
+    dispatch.handle_stream(line, sink);
   }
   return 0;
 }

@@ -1,12 +1,11 @@
 // api::transport: how request lines reach the dispatcher -- decoupled from
 // what the requests mean.
 //
-// A transport owns one ingress (stdin, a listening socket, ...) and pumps
-// NDJSON lines through a line_handler (api/dispatch.h), writing each
-// returned response line back to the requester. Dispatch is transport-
-// agnostic by contract: the same request line produces the same response
-// bytes over every transport (the CI smokes diff each against the
-// committed golden).
+// A transport owns one ingress (stdin, a listening socket, ...) and hands
+// each request line to the api::dispatcher (api/dispatch.h), writing the
+// response back to the requester. Dispatch is transport-agnostic by
+// contract: the same request line produces the same response bytes over
+// every transport (the CI smokes diff each against the committed golden).
 //
 //   * stdio_transport -- the default daemon loop: one request per stdin
 //     line, one response per stdout line.
@@ -28,7 +27,7 @@ class transport {
   virtual ~transport() = default;
   /// Serves requests until the ingress is exhausted (stdio: EOF) or
   /// shutdown is requested (tcp). Returns a process exit code.
-  virtual int serve(line_handler& handler) = 0;
+  virtual int serve(dispatcher& dispatch) = 0;
 };
 
 /// The stdin/stdout NDJSON loop. Empty lines are skipped; every response
@@ -36,7 +35,7 @@ class transport {
 class stdio_transport final : public transport {
  public:
   stdio_transport(std::istream& in, std::ostream& out);
-  int serve(line_handler& handler) override;
+  int serve(dispatcher& dispatch) override;
 
  private:
   std::istream& in_;

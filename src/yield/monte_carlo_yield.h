@@ -139,14 +139,6 @@ mc_yield_result monte_carlo_yield_resume(const trial_context& context,
 /// cross-restart top-up path of the sweep service.
 mc_yield_result mc_result_from_state(const mc_run_state& state);
 
-/// Single-threaded convenience wrapper kept source-compatible with the
-/// original API; forwards to the engine with one worker.
-mc_yield_result monte_carlo_yield(
-    const decoder::decoder_design& design,
-    const crossbar::contact_group_plan& plan, mc_mode mode,
-    std::size_t trials, rng& random,
-    const std::optional<fab::defect_params>& defects = std::nullopt);
-
 /// The original allocating scalar loop, preserved as the validation
 /// baseline: it samples the same realized-V_T distribution through the
 /// op-by-op process walk (different draws, so agreement with the engine is

@@ -205,16 +205,22 @@ TEST(HardeningTest, CancelAllReleasesQueuedJobs) {
                                  device::paper_technology(),
                                  service::service_options{});
   dispatcher dispatch(service, one_worker());
-  // Async submissions queue behind each other on the single worker.
-  for (int i = 0; i < 4; ++i) {
+  // Async submissions queue behind each other on the single worker. Every
+  // design is valid, so the first job really runs Monte Carlo (about a
+  // dozen cancellation checks, one per point) when cancel_all meets it.
+  for (int i = 1; i <= 4; ++i) {
     dispatch.handle_line(
         R"({"id":)" + std::to_string(i) +
-        R"(,"kind":"sweep","async":true,"codes":["TC","BGC"],)"
-        R"("lengths":[16,24],"sigmas_vt":[0.03,0.05,0.07],"trials":4000})");
+        R"(,"kind":"sweep","async":true,"codes":["TC","GC"],)"
+        R"("lengths":[8,10],"sigmas_vt":[0.03,0.05,0.07],"trials":4000})");
+  }
+  for (int spin = 0; spin < 2000 && dispatch.scheduler().stats().running == 0;
+       ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
   }
   const std::size_t touched = dispatch.scheduler().cancel_all();
-  EXPECT_GE(touched, 1u);
-  // Everything settles terminal: cancelled, or done if it won the race.
+  EXPECT_EQ(touched, 4u);
+  // Everything settles terminal: the running job stops at its next check.
   for (int i = 0; i < 50; ++i) {
     const scheduler_stats stats = dispatch.scheduler().stats();
     if (stats.queued == 0 && stats.running == 0) break;
@@ -222,7 +228,13 @@ TEST(HardeningTest, CancelAllReleasesQueuedJobs) {
   }
   const scheduler_stats stats = dispatch.scheduler().stats();
   EXPECT_EQ(stats.queued, 0u);
-  EXPECT_GE(stats.cancelled, 1u);
+  EXPECT_EQ(stats.running, 0u);
+  EXPECT_EQ(stats.cancelled, 4u);
+  EXPECT_EQ(stats.completed, 0u);
+  const std::string first =
+      dispatch.handle_line(R"({"id":5,"kind":"status","job":1})");
+  EXPECT_NE(first.find("\"state\":\"cancelled\""), std::string::npos)
+      << first;
 }
 
 }  // namespace

@@ -135,7 +135,6 @@ struct test_server {
   std::thread thread;
 
   test_server() : handler(service, {2, 64}), transport(0, 16, tcp_limits{}) {
-    transport.set_event_source(&handler.scheduler());
     thread = std::thread([this] { transport.serve(handler); });
   }
   ~test_server() {
@@ -210,6 +209,71 @@ TEST(HttpTransportTest, ErrorCodeDrivesTheHttpStatus) {
   const std::string unknown = roundtrip(
       server.port(), post_rpc(R"({"id":1,"kind":"status","job":99999})"));
   EXPECT_EQ(unknown.rfind("HTTP/1.1 400", 0), 0u) << unknown;
+
+  // A coded error picks its own status: an idempotency key reused with a
+  // different payload is a 409 Conflict.
+  const std::string first = roundtrip(
+      server.port(),
+      post_rpc(R"({"id":1,"kind":"sweep","async":true,"codes":["BGC"],)"
+               R"("lengths":[8],"trials":40,"request_id":"k"})"));
+  EXPECT_EQ(first.rfind("HTTP/1.1 200 OK\r\n", 0), 0u) << first;
+  const std::string conflict = roundtrip(
+      server.port(),
+      post_rpc(R"({"id":2,"kind":"sweep","async":true,"codes":["BGC"],)"
+               R"("lengths":[8],"trials":41,"request_id":"k"})"));
+  EXPECT_EQ(conflict.rfind("HTTP/1.1 409 ", 0), 0u) << conflict;
+  EXPECT_NE(body_of(conflict).find("\"code\":\"request_id_conflict\""),
+            std::string::npos);
+}
+
+// Every request the parser completes, in order, after feeding `bytes` in
+// two reads split at `split`.
+std::vector<http::request> parse_split(const std::string& bytes,
+                                       std::size_t split) {
+  http::request_parser parser(0);
+  std::vector<http::request> parsed;
+  for (const std::string& part :
+       {bytes.substr(0, split), bytes.substr(split)}) {
+    parser.consume(part.data(), part.size());
+    while (parser.state() == http::request_parser::phase::complete) {
+      parsed.push_back(parser.result());
+      parser.reset();
+    }
+    EXPECT_NE(parser.state(), http::request_parser::phase::failed)
+        << "split at " << split << ": " << parser.error_reason();
+  }
+  return parsed;
+}
+
+TEST(HttpRequestParserTest, PipelinedRequestsSurviveEverySplitPoint) {
+  // Two pipelined RPCs, the second with bare-LF header lines: whichever
+  // byte a read boundary falls on, the parser yields exactly these two
+  // requests, identical to the unsplit parse.
+  const std::string bytes =
+      post_rpc(R"({"id":1,"kind":"stats"})", true) +
+      "POST /v1/rpc?trace=1 HTTP/1.1\nHost: t\nContent-Length: 24\n"
+      "Connection: close\n\n" +
+      R"({"id":2,"kind":"flush"})" "\n";
+  const std::vector<http::request> whole = parse_split(bytes, bytes.size());
+  ASSERT_EQ(whole.size(), 2u);
+  EXPECT_EQ(whole[0].body, R"({"id":1,"kind":"stats"})");
+  EXPECT_TRUE(whole[0].keep_alive);
+  EXPECT_EQ(whole[1].path(), "/v1/rpc");
+  EXPECT_EQ(whole[1].body, std::string(R"({"id":2,"kind":"flush"})") + "\n");
+  EXPECT_FALSE(whole[1].keep_alive);
+  for (std::size_t split = 0; split <= bytes.size(); ++split) {
+    const std::vector<http::request> parsed = parse_split(bytes, split);
+    ASSERT_EQ(parsed.size(), 2u) << "split at " << split;
+    for (std::size_t k = 0; k < 2; ++k) {
+      EXPECT_EQ(parsed[k].method, whole[k].method) << "split at " << split;
+      EXPECT_EQ(parsed[k].target, whole[k].target) << "split at " << split;
+      EXPECT_EQ(parsed[k].version, whole[k].version) << "split at " << split;
+      EXPECT_EQ(parsed[k].headers, whole[k].headers) << "split at " << split;
+      EXPECT_EQ(parsed[k].body, whole[k].body) << "split at " << split;
+      EXPECT_EQ(parsed[k].keep_alive, whole[k].keep_alive)
+          << "split at " << split;
+    }
+  }
 }
 
 TEST(HttpTransportTest, TransportLevelRefusals) {

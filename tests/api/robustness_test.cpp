@@ -13,6 +13,7 @@
 #include <chrono>
 #include <string>
 #include <thread>
+#include <vector>
 
 #include "api/dispatch.h"
 #include "api/job_scheduler.h"
@@ -20,6 +21,7 @@
 #include "service/sweep_service.h"
 #include "util/error.h"
 #include "util/failpoint.h"
+#include "util/json.h"
 
 namespace nwdec::api {
 namespace {
@@ -224,6 +226,35 @@ TEST(RobustnessTest, DispatcherCancelOfRunningJobReportsCancelling) {
   const std::string final_state =
       handler.handle_line(R"({"id":3,"kind":"status","job":1,"wait":true})");
   EXPECT_NE(final_state.find("\"state\":\"cancelled\""), std::string::npos);
+}
+
+TEST(RobustnessTest, DispatcherVerdictMatchesItsRenderedResponse) {
+  // answer() hands transports the verdict instead of making them parse
+  // the response back; it must say exactly what the line says.
+  service::sweep_service service = make_service();
+  dispatcher handler(service, {1, 64});
+  const std::vector<std::string> lines = {
+      R"({"id":1,"kind":"stats"})",
+      R"({"id":2,"kind":"sweep","codes":["BGC"],"lengths":[8],"trials":40})",
+      R"({"id":3,"kind":"sweep","async":true,"codes":["BGC"],)"
+      R"("lengths":[8],"trials":40,"request_id":"k"})",
+      R"({"id":4,"kind":"sweep","async":true,"codes":["BGC"],)"
+      R"("lengths":[8],"trials":41,"request_id":"k"})",
+      R"({"id":5,"kind":"status","job":1,"wait":true})",
+      R"({"id":6,"kind":"status","job":424242})",
+      R"({"id":7,"kind":"cancel","job":1})",
+      R"({"id":8,"kind":"subscribe","job":1})",
+      R"({"id":9,"kind":"nope"})",
+      "not json",
+  };
+  for (const std::string& line : lines) {
+    const reply answered = handler.answer(line);
+    const json_value root = json_parse(answered.line);
+    EXPECT_EQ(answered.ok, root.at("ok").as_bool()) << answered.line;
+    const json_value* code = root.find("code");
+    EXPECT_EQ(answered.code, code != nullptr ? code->as_string() : "")
+        << answered.line;
+  }
 }
 
 TEST(RobustnessTest, DispatchFailpointTurnsIntoAnErrorResponse) {

@@ -3,11 +3,16 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <chrono>
+#include <cstdint>
 #include <numeric>
+#include <string>
 
 #include "codes/arrangement.h"
+#include "codes/factory.h"
 #include "codes/gray_code.h"
 #include "codes/tree_code.h"
+#include "util/error.h"
 
 namespace nwdec::codes {
 namespace {
@@ -129,6 +134,60 @@ TEST(ConstrainedPrefixTest, WordsAreDistinct) {
 TEST(ConstrainedPrefixTest, InvalidRequestsThrow) {
   EXPECT_THROW(constrained_gray_prefix(2, 3, 9, 8), invalid_argument_error);
   EXPECT_THROW(constrained_gray_prefix(2, 3, 0, 2), invalid_argument_error);
+}
+
+TEST(BalancedGrayTest, UnbalanceableSpacesAreRefusedAtOnce) {
+  // Binary BGC at full lengths 14 and 16 (7 and 8 free digits) cannot be
+  // balanced; a doomed search would hold the engine for ~20 s, so the
+  // guard must answer without searching.
+  for (const std::size_t length : {14u, 16u}) {
+    const std::size_t words = std::size_t{1} << (length / 2);
+    const auto start = std::chrono::steady_clock::now();
+    try {
+      make_code(code_type::balanced_gray, 2, length);
+      ADD_FAILURE() << "length " << length << " built";
+    } catch (const invalid_argument_error& failure) {
+      EXPECT_EQ(std::string(failure.what()),
+                "balanced Gray search could not balance this code space (" +
+                    std::to_string(words) +
+                    " words); use the plain Gray code for spaces of this "
+                    "size");
+    }
+    EXPECT_LT(std::chrono::duration<double>(
+                  std::chrono::steady_clock::now() - start)
+                  .count(),
+              1.0)
+        << "length " << length;
+  }
+}
+
+TEST(BalancedGrayTest, BinaryCodesUpToLength12AreUnchanged) {
+  // FNV-1a over every digit of every word (0xff after each word), pinned
+  // from the unguarded search: the guard leaves the codes the experiments
+  // use word for word unchanged.
+  struct pinned {
+    std::size_t length;
+    std::size_t words;
+    std::uint64_t fingerprint;
+  };
+  const pinned expected[] = {
+      {2, 2, 0xa9ed16cea316e151ULL},   {4, 4, 0xffb8277d6cec7e13ULL},
+      {6, 8, 0xb4d35ba8a5bb9d3bULL},   {8, 16, 0x5ce746a76a3c0763ULL},
+      {10, 32, 0x5dfaaee5091166e3ULL}, {12, 64, 0x7b01875345f2faa3ULL}};
+  for (const pinned& pin : expected) {
+    const code built = make_code(code_type::balanced_gray, 2, pin.length);
+    ASSERT_EQ(built.words.size(), pin.words) << "length " << pin.length;
+    std::uint64_t hash = 1469598103934665603ULL;
+    for (const code_word& word : built.words) {
+      for (const digit d : word.digits()) {
+        hash ^= d;
+        hash *= 1099511628211ULL;
+      }
+      hash ^= 0xff;
+      hash *= 1099511628211ULL;
+    }
+    EXPECT_EQ(hash, pin.fingerprint) << "length " << pin.length;
+  }
 }
 
 TEST(BalancedGrayTest, StandardGrayIsUnbalancedForComparison) {

@@ -109,13 +109,12 @@ TEST(PipelineTest, FullEvaluationIsDeterministic) {
 
   rng a(1);
   rng b(1);
+  yield::mc_options options;
+  options.mode = yield::mc_mode::operational;
+  options.trials = 40;
   EXPECT_DOUBLE_EQ(
-      yield::monte_carlo_yield(design, plan, yield::mc_mode::operational, 40,
-                               a)
-          .nanowire_yield,
-      yield::monte_carlo_yield(design, plan, yield::mc_mode::operational, 40,
-                               b)
-          .nanowire_yield);
+      yield::monte_carlo_yield(design, plan, options, a).nanowire_yield,
+      yield::monte_carlo_yield(design, plan, options, b).nanowire_yield);
 }
 
 TEST(PipelineTest, WindowCriterionIsSufficientForPerfectDecode) {
@@ -202,9 +201,12 @@ TEST(PipelineTest, TernaryPipelineEndToEnd) {
   EXPECT_GT(y.nanowire_yield, 0.0);
   EXPECT_LE(y.nanowire_yield, 1.0);
 
+  yield::mc_options options;
+  options.mode = yield::mc_mode::window;
+  options.trials = 100;
   rng random(3);
-  const yield::mc_yield_result mc = yield::monte_carlo_yield(
-      design, plan, yield::mc_mode::window, 100, random);
+  const yield::mc_yield_result mc =
+      yield::monte_carlo_yield(design, plan, options, random);
   EXPECT_NEAR(mc.nanowire_yield, y.nanowire_yield, 0.06);
 }
 

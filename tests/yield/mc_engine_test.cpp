@@ -58,21 +58,6 @@ TEST(McEngineTest, BitIdenticalAcrossThreadCounts) {
   }
 }
 
-TEST(McEngineTest, LegacySignatureForwardsToEngine) {
-  fixture f;
-  rng legacy_rng(7);
-  const mc_yield_result legacy = monte_carlo_yield(
-      f.design, f.plan, mc_mode::operational, 100, legacy_rng);
-  mc_options options;
-  options.mode = mc_mode::operational;
-  options.trials = 100;
-  options.threads = 1;
-  rng engine_rng(7);
-  const mc_yield_result engine =
-      monte_carlo_yield(f.design, f.plan, options, engine_rng);
-  expect_bit_identical(legacy, engine);
-}
-
 TEST(McEngineTest, AgreesWithScalarReference) {
   // The engine collapses each region's nu accumulated doses into one
   // N(0, sigma*sqrt(nu)) deviate; the reference walks the flow op by op.

@@ -10,6 +10,16 @@
 namespace nwdec::yield {
 namespace {
 
+// One-worker engine options (the engine is bit-identical at any count).
+mc_options trials_of(mc_mode mode, std::size_t trials,
+                     std::optional<fab::defect_params> defects = {}) {
+  mc_options options;
+  options.mode = mode;
+  options.trials = trials;
+  options.defects = defects;
+  return options;
+}
+
 struct fixture {
   device::technology tech = device::paper_technology();
   codes::code code = codes::make_code(codes::code_type::gray, 2, 8);
@@ -25,7 +35,7 @@ TEST(MonteCarloYieldTest, WindowModeMatchesAnalyticModel) {
   const yield_result analytic = analytic_yield(f.design, f.plan);
   rng random(123);
   const mc_yield_result mc = monte_carlo_yield(
-      f.design, f.plan, mc_mode::window, 600, random);
+      f.design, f.plan, trials_of(mc_mode::window, 600), random);
   EXPECT_NEAR(mc.nanowire_yield, analytic.nanowire_yield, 0.02);
   EXPECT_LE(mc.ci.low, analytic.nanowire_yield);
   EXPECT_GE(mc.ci.high, analytic.nanowire_yield);
@@ -37,10 +47,10 @@ TEST(MonteCarloYieldTest, OperationalYieldDominatesWindowYield) {
   fixture f;
   rng r1(7);
   rng r2(7);
-  const mc_yield_result window =
-      monte_carlo_yield(f.design, f.plan, mc_mode::window, 300, r1);
-  const mc_yield_result operational =
-      monte_carlo_yield(f.design, f.plan, mc_mode::operational, 300, r2);
+  const mc_yield_result window = monte_carlo_yield(
+      f.design, f.plan, trials_of(mc_mode::window, 300), r1);
+  const mc_yield_result operational = monte_carlo_yield(
+      f.design, f.plan, trials_of(mc_mode::operational, 300), r2);
   EXPECT_GE(operational.nanowire_yield, window.nanowire_yield - 0.01);
 }
 
@@ -48,10 +58,9 @@ TEST(MonteCarloYieldTest, DeterministicGivenSeed) {
   fixture f;
   rng a(99);
   rng b(99);
-  const mc_yield_result ra =
-      monte_carlo_yield(f.design, f.plan, mc_mode::operational, 50, a);
-  const mc_yield_result rb =
-      monte_carlo_yield(f.design, f.plan, mc_mode::operational, 50, b);
+  const mc_options options = trials_of(mc_mode::operational, 50);
+  const mc_yield_result ra = monte_carlo_yield(f.design, f.plan, options, a);
+  const mc_yield_result rb = monte_carlo_yield(f.design, f.plan, options, b);
   EXPECT_DOUBLE_EQ(ra.nanowire_yield, rb.nanowire_yield);
 }
 
@@ -63,8 +72,8 @@ TEST(MonteCarloYieldTest, ZeroVariabilityZeroBandIsPerfect) {
   const decoder::decoder_design design(code, 20, tech);
   const auto plan = crossbar::plan_contact_groups(20, code.size(), tech);
   rng random(5);
-  const mc_yield_result mc =
-      monte_carlo_yield(design, plan, mc_mode::operational, 20, random);
+  const mc_yield_result mc = monte_carlo_yield(
+      design, plan, trials_of(mc_mode::operational, 20), random);
   EXPECT_DOUBLE_EQ(mc.nanowire_yield, 1.0);
 }
 
@@ -75,8 +84,8 @@ TEST(MonteCarloYieldTest, BoundarySamplingConvergesToExpectation) {
   const decoder::decoder_design design(code, 20, tech);
   const auto plan = crossbar::plan_contact_groups(20, code.size(), tech);
   rng random(5);
-  const mc_yield_result mc =
-      monte_carlo_yield(design, plan, mc_mode::window, 800, random);
+  const mc_yield_result mc = monte_carlo_yield(
+      design, plan, trials_of(mc_mode::window, 800), random);
   const double expected = 1.0 - plan.expected_discarded() / 20.0;
   EXPECT_NEAR(mc.nanowire_yield, expected, 0.01);
 }
@@ -85,11 +94,11 @@ TEST(MonteCarloYieldTest, DefectsLowerTheYield) {
   fixture f;
   rng r1(11);
   rng r2(11);
-  const mc_yield_result clean =
-      monte_carlo_yield(f.design, f.plan, mc_mode::window, 200, r1);
+  const mc_yield_result clean = monte_carlo_yield(
+      f.design, f.plan, trials_of(mc_mode::window, 200), r1);
   const mc_yield_result defective = monte_carlo_yield(
-      f.design, f.plan, mc_mode::window, 200, r2,
-      fab::defect_params{0.15, 0.05});
+      f.design, f.plan,
+      trials_of(mc_mode::window, 200, fab::defect_params{0.15, 0.05}), r2);
   EXPECT_LT(defective.nanowire_yield, clean.nanowire_yield - 0.05);
 }
 
@@ -97,7 +106,8 @@ TEST(MonteCarloYieldTest, InvalidTrialCountRejected) {
   fixture f;
   rng random(1);
   EXPECT_THROW(
-      monte_carlo_yield(f.design, f.plan, mc_mode::window, 0, random),
+      monte_carlo_yield(f.design, f.plan, trials_of(mc_mode::window, 0),
+                        random),
       invalid_argument_error);
 }
 

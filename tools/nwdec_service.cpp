@@ -262,21 +262,6 @@ int main(int argc, char** argv) {
       limits.max_connections = get_size(cli, "max-connections");
       limits.drain_ms = get_ms(cli, "drain-ms");
 
-      // Drain wiring shared by the long-lived listeners: when a drain
-      // begins, close the scheduler's event streams so subscription
-      // pumps finish like ordinary in-flight requests; when the window
-      // expires with requests still running, cancel the outstanding
-      // jobs cooperatively -- their synchronous waiters are released,
-      // the connection threads exit, and shutdown persistence (below)
-      // runs within the drain budget instead of blocking on an
-      // arbitrarily long evaluation.
-      const auto on_drain_start = [&dispatcher] {
-        dispatcher.scheduler().close_event_streams();
-      };
-      const auto on_drain_deadline = [&dispatcher] {
-        dispatcher.scheduler().cancel_all();
-      };
-
       // The HTTP/1.1 gateway (RPC, SSE job events, the /metrics scrape),
       // served from its own thread beside (not instead of) the main
       // transport, under the same bounds.
@@ -289,9 +274,6 @@ int main(int argc, char** argv) {
         }
         http_gateway = std::make_unique<api::http_transport>(
             static_cast<std::uint16_t>(http_port), 64, limits);
-        http_gateway->set_event_source(&dispatcher.scheduler());
-        http_gateway->set_drain_start_action(on_drain_start);
-        http_gateway->set_drain_deadline_action(on_drain_deadline);
         logging::event(logging::level::info, "daemon", "http_listening")
             .field("port", http_gateway->port());
         g_shutdown_fds[1] = http_gateway->shutdown_fd();
@@ -306,8 +288,6 @@ int main(int argc, char** argv) {
         }
         api::tcp_transport transport(static_cast<std::uint16_t>(listen), 64,
                                      limits);
-        transport.set_drain_start_action(on_drain_start);
-        transport.set_drain_deadline_action(on_drain_deadline);
         logging::event(logging::level::info, "daemon", "listening")
             .field("port", transport.port());
         g_shutdown_fds[0] = transport.shutdown_fd();
