@@ -9,6 +9,7 @@
 #include "codes/factory.h"
 #include "crossbar/contact_groups.h"
 #include "decoder/decoder_design.h"
+#include "mc_oracles.h"
 #include "util/cli.h"
 #include "yield/monte_carlo_yield.h"
 
@@ -38,7 +39,7 @@ int main(int argc, char** argv) {
     options.trials = trials;
     options.defects = fab::defect_params{broken, bridged};
     rng random(seed);
-    return yield::monte_carlo_yield(design, plan, options, random)
+    return testkit::monte_carlo_yield(design, plan, options, random)
         .nanowire_yield;
   };
 

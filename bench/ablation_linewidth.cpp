@@ -12,6 +12,7 @@
 #include "decoder/decoder_design.h"
 #include "device/tech_params.h"
 #include "fab/geometry_sim.h"
+#include "mc_oracles.h"
 #include "util/cli.h"
 #include "yield/monte_carlo_yield.h"
 
@@ -57,7 +58,7 @@ int main(int argc, char** argv) {
     options.defects = rates;
     rng mc_stream(4);
     const yield::mc_yield_result mc =
-        yield::monte_carlo_yield(design, plan, options, mc_stream);
+        testkit::monte_carlo_yield(design, plan, options, mc_stream);
 
     table.add_row({format_fixed(sigma_nm, 1),
                    format_fixed(sample.pitch_error_rms_nm(10.0), 2),

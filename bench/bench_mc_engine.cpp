@@ -1,29 +1,31 @@
 // Microbenchmark of the Monte-Carlo yield engine: the allocating scalar
-// reference loop vs the zero-allocation trial_context engine at equal trial
-// counts. Engine runs must be bit-identical across thread counts; the
-// reference samples the same distribution through the op-by-op walk, so
-// its agreement is statistical (overlapping CIs). Reports trials/sec for
+// reference loop (test kit) vs the zero-allocation trial_context engine at
+// equal trial counts. Engine runs must be bit-identical across thread
+// counts; the reference samples the same distribution through the op-by-op
+// walk, so its agreement is statistical (overlapping CIs). Reports
+// trials/sec for
 //   * the scalar reference (the seed implementation),
 //   * the engine on one thread (the zero-allocation speedup),
-//   * the engine on --threads workers (the sharding speedup),
+//   * the engine on --threads runners (the sharding speedup),
 // and writes a JSON record for the bench trajectory / CI artifact.
 //
-// The kernel section then compares the scalar per-trial path (block_size 1,
-// the PR 3 kernel, kept as the equivalence oracle) against the batched
-// block kernel across block sizes AND across every runtime SIMD dispatch
-// path compiled into the binary (forced one at a time), at one thread and
-// best-of-3 timing so a noisy box cannot fake a regression. Two gates
-// decide the exit code: every (path, block size) cell must be bit-identical
-// to the scalar oracle, and the best batched rate on the default dispatch
-// path must clear the kernel floor -- 3x when the box dispatches avx2 or
-// avx512, 2x (the pre-dispatch bound) when only narrow paths exist, with
-// the path recorded in the JSON so CI can tell the cases apart.
+// The kernel section then drives trial_context directly, on one thread:
+// the scalar per-trial run_trial (the batched kernel's equivalence oracle)
+// against run_trial_block across block sizes AND across every runtime SIMD
+// dispatch path compiled into the binary (forced one at a time). Two gates
+// decide the exit code: every (path, block size) cell must reproduce the
+// scalar oracle's per-trial good counts exactly, and the best block size
+// on the default dispatch path must clear the kernel floor -- 3x when the
+// box dispatches avx2 or avx512, 2x (the pre-dispatch bound) when only
+// narrow paths exist, with the path recorded in the JSON so CI can tell
+// the cases apart. The floor is checked against the median ratio of
+// interleaved (scalar, batched) timing pairs, so a box that slows down for
+// a while slows both halves of a pair and cannot fake a regression.
 #include <chrono>
 #include <cmath>
 #include <fstream>
 #include <iostream>
 #include <map>
-#include <thread>
 
 #include "bench_util.h"
 #include "codes/factory.h"
@@ -32,7 +34,9 @@
 #include "decoder/decoder_design.h"
 #include "device/tech_params.h"
 #include "util/cli.h"
+#include "mc_oracles.h"
 #include "util/cpu.h"
+#include "util/parallel.h"
 #include "yield/monte_carlo_yield.h"
 
 namespace {
@@ -62,7 +66,7 @@ int main(int argc, char** argv) {
   cli.add_int("length", 8, "full code length M");
   cli.add_int("nanowires", 20, "nanowires per half cave (N)");
   cli.add_int("trials", 4000, "Monte-Carlo trials per measurement");
-  cli.add_int("threads", 0, "engine worker threads (0 = hardware)");
+  cli.add_int("threads", 0, "engine runners (0 = the thread budget)");
   cli.add_int("seed", 2009, "base seed");
   cli.add_string("mode", "operational", "criterion: window | operational");
   cli.add_string("json", "BENCH_mc_engine.json", "JSON output path ('' = off)");
@@ -75,9 +79,7 @@ int main(int argc, char** argv) {
                                        cli.get_int("trials"));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   std::size_t threads = static_cast<std::size_t>(cli.get_int("threads"));
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = thread_budget();
   const yield::mc_mode mode = cli.get_string("mode") == "window"
                                   ? yield::mc_mode::window
                                   : yield::mc_mode::operational;
@@ -114,7 +116,7 @@ int main(int argc, char** argv) {
   // Scalar reference (the seed implementation, counter-based streams).
   rng reference_rng(seed);
   auto start = std::chrono::steady_clock::now();
-  const yield::mc_yield_result reference = yield::monte_carlo_yield_reference(
+  const yield::mc_yield_result reference = testkit::monte_carlo_yield_reference(
       design, plan, mode, trials, reference_rng);
   const double reference_seconds = seconds_since(start);
 
@@ -126,7 +128,7 @@ int main(int argc, char** argv) {
   rng engine1_rng(seed);
   start = std::chrono::steady_clock::now();
   const yield::mc_yield_result engine1 =
-      yield::monte_carlo_yield(design, plan, options, engine1_rng);
+      testkit::monte_carlo_yield(design, plan, options, engine1_rng);
   const double engine1_seconds = seconds_since(start);
 
   // Engine, sharded across workers.
@@ -134,7 +136,7 @@ int main(int argc, char** argv) {
   rng engine_t_rng(seed);
   start = std::chrono::steady_clock::now();
   const yield::mc_yield_result engine_t =
-      yield::monte_carlo_yield(design, plan, options, engine_t_rng);
+      testkit::monte_carlo_yield(design, plan, options, engine_t_rng);
   const double engine_t_seconds = seconds_since(start);
 
   // Engine runs share per-trial streams, so any thread count must agree to
@@ -175,82 +177,109 @@ int main(int argc, char** argv) {
             << "\n";
 
   // ------------------------------------------------- batched kernel gate
-  // Scalar per-trial path vs the batched block kernel on a prebuilt
+  // Scalar per-trial run_trial vs the batched run_trial_block on a prebuilt
   // context. The kernel section keeps its own trial count: --quick's 300
-  // trials finish in under 2 ms, far too little signal for a hard 2x gate,
-  // while 6000 trials still run in well under a second.
+  // trials finish in under 2 ms, far too little signal per pass, while 6000
+  // trials still run in well under a second.
   const std::size_t kernel_trials = std::max<std::size_t>(trials, 6000);
   const yield::trial_context context(design, plan);
   rng kernel_rng(seed);
   const std::uint64_t kernel_key = kernel_rng.engine()();
-  const auto kernel_run = [&](std::size_t block_size,
-                              yield::mc_yield_result& result) {
-    yield::mc_options kernel_options;
-    kernel_options.mode = mode;
-    kernel_options.trials = kernel_trials;
-    kernel_options.threads = 1;
-    kernel_options.block_size = block_size;
-    double best = 0.0;
-    for (int repeat = 0; repeat < 3; ++repeat) {
-      const auto t0 = std::chrono::steady_clock::now();
-      result = yield::monte_carlo_yield(context, kernel_options, kernel_key);
-      const double rate = kernel_trials / seconds_since(t0);
-      best = std::max(best, rate);
+  yield::trial_scratch scratch;
+  std::vector<std::uint32_t> good(kernel_trials, 0);
+  const auto scalar_pass = [&] {
+    for (std::size_t t = 0; t < kernel_trials; ++t) {
+      rng stream = rng::from_counter(kernel_key, t);
+      good[t] = static_cast<std::uint32_t>(
+          context.run_trial(stream, scratch, mode, tech.sigma_vt, nullptr));
     }
-    return best;
+    return kernel_trials;
+  };
+  const auto blocked_pass = [&](std::size_t block) {
+    for (std::size_t first = 0; first < kernel_trials; first += block) {
+      context.run_trial_block(kernel_key, first,
+                              std::min(block, kernel_trials - first), scratch,
+                              mode, tech.sigma_vt, nullptr,
+                              good.data() + first);
+    }
+    return kernel_trials;
   };
 
-  // The scalar per-trial oracle runs on the forced scalar dispatch path:
-  // the genuinely scalar floor, not a vectorized copy of it. Every forced
-  // path below must reproduce its result bit for bit.
+  // The scalar oracle runs on the forced scalar dispatch path: the
+  // genuinely scalar floor, not a vectorized copy of it.
+  constexpr double kernel_sample_seconds = 0.1;
   cpu::force_path(cpu::simd_path::scalar);
-  yield::mc_yield_result scalar_result;
-  const double scalar_rate = kernel_run(1, scalar_result);
+  scalar_pass();
+  const std::vector<std::uint32_t> oracle = good;
 
+  // Every (path, block) cell must reproduce the oracle. On the default
+  // dispatch path each block size is timed as interleaved (scalar,
+  // batched) pairs and the best block's median ratio is the gated
+  // speedup; the other paths get one informational sample per cell.
   const std::size_t kernel_blocks[] = {16, 32, 64, 128};
+  constexpr std::size_t kernel_pairs = 7;
   bool kernel_identical = true;
-  double kernel_rate = 0.0;        // best rate on the default dispatch path
+  bench::paired_rates kernel_rates;
   std::size_t kernel_block = 0;
   std::map<std::string, double> path_rates;  // best rate per forced path
-  text_table kernel_table(
-      {"kernel", "path", "trials/sec", "vs scalar", "identical"});
-  kernel_table.add_row({"scalar (block 1)", "scalar",
-                        format_fixed(scalar_rate, 0), "1.0x", "oracle"});
+  text_table kernel_table({"kernel", "path", "trials/sec", "identical"});
   for (const cpu::simd_path path : paths) {
     cpu::force_path(path);
     const char* path_name = cpu::simd_path_name(path);
-    for (const std::size_t block_size : kernel_blocks) {
-      yield::mc_yield_result blocked_result;
-      const double rate = kernel_run(block_size, blocked_result);
-      const bool same = identical(blocked_result, scalar_result);
+    for (const std::size_t block : kernel_blocks) {
+      blocked_pass(block);
+      const bool same = good == oracle;
       kernel_identical = kernel_identical && same;
-      path_rates[path_name] = std::max(path_rates[path_name], rate);
-      if (path == default_path && rate > kernel_rate) {
-        kernel_rate = rate;
-        kernel_block = block_size;
+      double rate = 0.0;
+      if (path == default_path) {
+        const bench::paired_rates rates = bench::sample_pairs(
+            kernel_pairs, kernel_sample_seconds,
+            [&] {
+              cpu::force_path(cpu::simd_path::scalar);
+              return scalar_pass();
+            },
+            [&] {
+              cpu::force_path(path);
+              return blocked_pass(block);
+            });
+        rate = bench::median(rates.b);
+        if (rates.median_ratio > kernel_rates.median_ratio) {
+          kernel_rates = rates;
+          kernel_block = block;
+        }
+      } else {
+        rate = bench::sample_rate(kernel_sample_seconds,
+                                  [&] { return blocked_pass(block); });
       }
-      kernel_table.add_row({"batched, block " + std::to_string(block_size),
+      path_rates[path_name] = std::max(path_rates[path_name], rate);
+      kernel_table.add_row({"batched, block " + std::to_string(block),
                             path_name, format_fixed(rate, 0),
-                            format_fixed(rate / scalar_rate, 2) + "x",
                             same ? "yes" : "NO (BUG)"});
     }
   }
   cpu::force_path(default_path);
+  const double scalar_rate = bench::median(kernel_rates.a);
+  const double kernel_rate = bench::median(kernel_rates.b);
   // The floor scales with the widest path the box actually dispatches: on
   // an AVX2/AVX-512 machine the vectorized kernels owe 3x; a narrow box
   // keeps the pre-dispatch 2x bound (recorded with its path in the JSON).
   const bool wide_dispatch = default_path == cpu::simd_path::avx2 ||
                              default_path == cpu::simd_path::avx512;
   const double kernel_gate = wide_dispatch ? 3.0 : 2.0;
-  const double kernel_speedup = kernel_rate / scalar_rate;
+  const double kernel_speedup = kernel_rates.median_ratio;
   const bool kernel_fast_enough = kernel_speedup >= kernel_gate;
 
-  std::cout << "\nbatched kernel vs scalar per-trial path (" << kernel_trials
-            << " trials, best of 3, every dispatch path):\n\n";
+  std::cout << "\nbatched kernel on every dispatch path (" << kernel_trials
+            << " trials per pass; scalar run_trial oracle "
+            << format_fixed(scalar_rate, 0) << " trials/sec):\n\n";
   kernel_table.print(std::cout);
   std::cout << "\nbest block " << kernel_block << " on dispatch path "
-            << cpu::simd_path_name(default_path) << ": "
-            << format_fixed(kernel_speedup, 2) << "x scalar ("
+            << cpu::simd_path_name(default_path) << " vs scalar, "
+            << kernel_pairs << " interleaved pairs:";
+  for (const double ratio : kernel_rates.ratio) {
+    std::cout << " " << format_fixed(ratio, 2) << "x";
+  }
+  std::cout << "\nmedian " << format_fixed(kernel_speedup, 2) << "x scalar ("
             << (kernel_identical ? "bit-identical" : "DIVERGED (BUG)") << ", "
             << (kernel_fast_enough ? "meets" : "MISSES") << " the "
             << format_fixed(kernel_gate, 1) << "x gate)\n";
@@ -270,8 +299,7 @@ int main(int argc, char** argv) {
         << "  \"trials\": " << trials << ",\n"
         << "  \"seed\": " << seed << ",\n"
         << "  \"threads\": " << threads << ",\n"
-        << "  \"hardware_concurrency\": "
-        << std::max(1u, std::thread::hardware_concurrency()) << ",\n"
+        << "  \"hardware_concurrency\": " << thread_budget() << ",\n"
         << "  \"reference_trials_per_second\": " << reference_rate << ",\n"
         << "  \"engine1_trials_per_second\": " << engine1_rate << ",\n"
         << "  \"engineT_trials_per_second\": " << engine_t_rate << ",\n"
@@ -289,6 +317,12 @@ int main(int argc, char** argv) {
         << "  \"kernel_trials_per_second\": " << kernel_rate << ",\n"
         << "  \"block_size\": " << kernel_block << ",\n"
         << "  \"kernel_speedup_vs_scalar\": " << kernel_speedup << ",\n"
+        << "  \"kernel_pairs\": " << kernel_pairs << ",\n"
+        << "  \"kernel_pair_ratios\": [";
+    for (std::size_t k = 0; k < kernel_rates.ratio.size(); ++k) {
+      out << (k == 0 ? "" : ", ") << kernel_rates.ratio[k];
+    }
+    out << "],\n"
         << "  \"kernel_gate\": " << kernel_gate << ",\n"
         << "  \"kernel_dispatch_path\": \""
         << cpu::simd_path_name(default_path) << "\",\n"

@@ -40,6 +40,7 @@
 #include "util/cpu.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "util/parallel.h"
 #include "util/stats.h"
 #include "util/table.h"
 
@@ -329,8 +330,7 @@ int main(int argc, char** argv) {
     // degrades to "concurrency must not cost throughput" (0.9, leaving
     // 10% for timing noise; same caveat culture as the ROADMAP's
     // thread-scaling notes).
-    const std::size_t cores =
-        std::max<std::size_t>(1, std::thread::hardware_concurrency());
+    const std::size_t cores = thread_budget();
     const double speedup_bound = cores >= 2 ? 1.5 : 0.9;
     std::cout << "\nconcurrent clients (" << client_count << " clients x "
               << per_client << " single-point miss requests, best of 3, "
@@ -361,9 +361,7 @@ int main(int argc, char** argv) {
           .field("trials", trials)
           .field("seed", options.seed)
           .field("threads", options.threads)
-          .field("hardware_concurrency",
-                 std::max<std::size_t>(1,
-                                       std::thread::hardware_concurrency()))
+          .field("hardware_concurrency", thread_budget())
           .field("simd_path", cpu::simd_path_name(cpu::active_path()))
           .field("cold_seconds", cold_seconds)
           .field("warm_seconds", warm_seconds)

@@ -18,7 +18,6 @@
 #include <chrono>
 #include <fstream>
 #include <iostream>
-#include <thread>
 
 #include "bench_util.h"
 #include "codes/factory.h"
@@ -27,9 +26,11 @@
 #include "crossbar/area_model.h"
 #include "crossbar/contact_groups.h"
 #include "decoder/decoder_design.h"
+#include "mc_oracles.h"
 #include "util/cli.h"
 #include "util/cpu.h"
 #include "util/json.h"
+#include "util/parallel.h"
 #include "yield/analytic_yield.h"
 #include "yield/monte_carlo_yield.h"
 
@@ -82,7 +83,7 @@ core::design_evaluation legacy_evaluate(const crossbar::crossbar_spec& spec,
     options.trials = mc_trials;
     options.threads = 1;
     const yield::mc_yield_result mc =
-        yield::monte_carlo_yield(design, plan, options, random);
+        testkit::monte_carlo_yield(design, plan, options, random);
     out.has_monte_carlo = true;
     out.mc_nanowire_yield = mc.nanowire_yield;
     out.mc_ci_low = mc.ci.low;
@@ -120,9 +121,7 @@ int main(int argc, char** argv) {
                                        cli.get_int("trials"));
   const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
   std::size_t threads = static_cast<std::size_t>(cli.get_int("threads"));
-  if (threads == 0) {
-    threads = std::max(1u, std::thread::hardware_concurrency());
-  }
+  if (threads == 0) threads = thread_budget();
 
   const crossbar::crossbar_spec spec;
   const device::technology tech = device::paper_technology();
@@ -363,8 +362,7 @@ int main(int argc, char** argv) {
         .field("trials", trials)
         .field("seed", seed)
         .field("threads", threads)
-        .field("hardware_concurrency",
-               std::max<std::size_t>(1, std::thread::hardware_concurrency()))
+        .field("hardware_concurrency", thread_budget())
         .field("simd_path", cpu::simd_path_name(cpu::active_path()))
         .field("figs78_points", grid.size())
         .field("legacy_points_per_second", grid_points / legacy_seconds)

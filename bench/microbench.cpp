@@ -11,6 +11,7 @@
 #include "decoder/decoder_design.h"
 #include "device/tech_params.h"
 #include "fab/process_sim.h"
+#include "mc_oracles.h"
 #include "util/rng.h"
 #include "yield/analytic_yield.h"
 #include "yield/monte_carlo_yield.h"
@@ -91,7 +92,7 @@ void bm_operational_mc_trial(benchmark::State& state) {
   rng random(1);
   for (auto _ : state) {
     benchmark::DoNotOptimize(
-        yield::monte_carlo_yield(design, plan, options, random));
+        testkit::monte_carlo_yield(design, plan, options, random));
   }
 }
 BENCHMARK(bm_operational_mc_trial);
@@ -110,7 +111,7 @@ void bm_engine_trial_kernel(benchmark::State& state) {
   for (auto _ : state) {
     rng stream = random.fork_stream(trial++);
     benchmark::DoNotOptimize(context.run_trial(
-        stream, scratch, yield::mc_mode::operational, nullptr));
+        stream, scratch, yield::mc_mode::operational, tech.sigma_vt, nullptr));
   }
 }
 BENCHMARK(bm_engine_trial_kernel);

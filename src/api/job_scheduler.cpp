@@ -3,6 +3,8 @@
 #include <algorithm>
 #include <cstdio>
 #include <exception>
+#include <functional>
+#include <string>
 
 #include "api/events.h"
 #include "service/refine.h"
@@ -10,6 +12,7 @@
 #include "util/failpoint.h"
 #include "util/log.h"
 #include "util/metrics.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 
 namespace nwdec::api {
@@ -124,7 +127,42 @@ struct job_scheduler::job_record {
   // Tracing (out-of-band; see job_trace).
   std::chrono::steady_clock::time_point submit_time;
   job_trace trace;
+
+  /// The cooperative check a running evaluation polls (lock-free): throws
+  /// cancelled_error once cancel() flagged the job, timeout_error once its
+  /// deadline has passed.
+  void check_running() const {
+    if (cancel_requested.load(std::memory_order_relaxed)) {
+      throw cancelled_error("job cancelled");
+    }
+    if (has_deadline && std::chrono::steady_clock::now() >= deadline) {
+      throw timeout_error("job deadline expired");
+    }
+  }
 };
+
+namespace {
+
+// Runs a job's evaluation and maps how it ended to the job's terminal
+// state: done when `work` returned, else cancelled / timed_out / failed by
+// what it threw. `error` receives the diagnostic (a cancel carries none).
+job_state run_to_outcome(const std::function<void()>& work,
+                         std::string& error) {
+  try {
+    work();
+    return job_state::done;
+  } catch (const cancelled_error&) {
+    return job_state::cancelled;
+  } catch (const timeout_error& failure) {
+    error = failure.what();
+    return job_state::timed_out;
+  } catch (const std::exception& failure) {
+    error = failure.what();
+    return job_state::failed;
+  }
+}
+
+}  // namespace
 
 job_scheduler::job_scheduler(service::sweep_service& service)
     : job_scheduler(service, options()) {}
@@ -140,10 +178,8 @@ job_scheduler::job_scheduler(service::sweep_service& service, options opts)
       0x7ace1dULL,
       static_cast<std::uint64_t>(
           std::chrono::system_clock::now().time_since_epoch().count()));
-  std::size_t workers = options_.workers;
-  if (workers == 0) {
-    workers = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
+  const std::size_t workers =
+      options_.workers == 0 ? thread_budget() : options_.workers;
   workers_.reserve(workers);
   for (std::size_t t = 0; t < workers; ++t) {
     workers_.emplace_back([this] { worker_loop(); });
@@ -237,6 +273,19 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     }
     return &found->second;
   };
+  // Remembers the request_id for `job` (0 = answered inline) in the
+  // bounded FIFO window: once the window rolls a key out, a very late
+  // retry becomes a fresh job -- which is safe, just not free, because
+  // the result store still answers its points from cache. Caller holds
+  // mutex_.
+  const auto remember_locked = [&](std::uint64_t job) {
+    dedup_.emplace(dedup_key, dedup_entry{job, dedup_payload});
+    dedup_order_.push_back(dedup_key);
+    while (dedup_order_.size() > options_.dedup_window) {
+      dedup_.erase(dedup_order_.front());
+      dedup_order_.pop_front();
+    }
+  };
 
   // Phase 1 (locked): idempotent retry detection comes FIRST -- before
   // the queue bound and before the store probe -- because answering a
@@ -288,12 +337,7 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
         count_event(stats_, &scheduler_stats::deduplicated,
                     scheduler_metrics::get().deduplicated);
       } else if (!dedup_key.empty()) {
-        dedup_.emplace(dedup_key, dedup_entry{0, dedup_payload});
-        dedup_order_.push_back(dedup_key);
-        while (dedup_order_.size() > options_.dedup_window) {
-          dedup_.erase(dedup_order_.front());
-          dedup_order_.pop_front();
-        }
+        remember_locked(0);
       }
       count_event(stats_, &scheduler_stats::answered_inline,
                   scheduler_metrics::get().answered_inline);
@@ -343,17 +387,7 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     if (existing != nullptr) {
       existing->job = id;
     } else if (!dedup_key.empty()) {
-      // Remember the submission (bounded FIFO): once the window rolls a
-      // key out, a very late retry becomes a fresh job -- which is safe,
-      // just not free, because the result store still answers its points
-      // from cache.
-      dedup_.emplace(dedup_key,
-                     dedup_entry{id, std::move(dedup_payload)});
-      dedup_order_.push_back(std::move(dedup_key));
-      while (dedup_order_.size() > options_.dedup_window) {
-        dedup_.erase(dedup_order_.front());
-        dedup_order_.pop_front();
-      }
+      remember_locked(id);
     }
     jobs_.emplace(id, record);
     queue_.emplace(-record->priority, id);
@@ -493,6 +527,13 @@ std::size_t job_scheduler::cancel_all() {
   }
   if (touched > 0) done_cv_.notify_all();
   return touched;
+}
+
+bool job_scheduler::wait_idle(std::chrono::steady_clock::time_point deadline) {
+  std::unique_lock<std::mutex> lock(mutex_);
+  return done_cv_.wait_until(lock, deadline, [this] {
+    return queue_.empty() && stats_.running == 0;
+  });
 }
 
 scheduler_stats job_scheduler::stats() const {
@@ -676,22 +717,13 @@ void job_scheduler::run_sweep_batch(std::unique_lock<std::mutex>& lock) {
   // its own diagnostic. Payload purity makes the solo rerun bit-identical
   // to its share of the batch, and the store makes the rerun cheap (the
   // aborted batch's completed points were already inserted).
-  enum class outcome { ok, failed, cancelled, timed_out };
   std::vector<service::sweep_response> solo(batch.size());
   std::vector<service::eval_trace> solo_trace(batch.size());
-  std::vector<outcome> solo_outcome(batch.size(), outcome::ok);
+  std::vector<job_state> solo_state(batch.size(), job_state::done);
   std::vector<std::string> solo_error(batch.size());
   const auto batch_check = [&batch] {
-    const auto poll = std::chrono::steady_clock::now();
     for (const std::shared_ptr<job_record>& job : batch) {
-      if (job->cancel_requested.load(std::memory_order_relaxed)) {
-        throw cancelled_error("job " + std::to_string(job->id) +
-                              " cancelled");
-      }
-      if (job->has_deadline && poll >= job->deadline) {
-        throw timeout_error("job " + std::to_string(job->id) +
-                            " deadline expired");
-      }
+      job->check_running();
     }
   };
   try {
@@ -700,28 +732,14 @@ void job_scheduler::run_sweep_batch(std::unique_lock<std::mutex>& lock) {
   } catch (const std::exception&) {
     batch_failed = true;
     for (std::size_t b = 0; b < batch.size(); ++b) {
-      const std::shared_ptr<job_record>& job = batch[b];
-      const auto check = [&job] {
-        if (job->cancel_requested.load(std::memory_order_relaxed)) {
-          throw cancelled_error("job cancelled");
-        }
-        if (job->has_deadline &&
-            std::chrono::steady_clock::now() >= job->deadline) {
-          throw timeout_error("job deadline expired");
-        }
-      };
-      try {
-        NWDEC_FAILPOINT("api.job.sweep.evaluate");
-        solo[b] = service_.evaluate(job->queries, check, &solo_trace[b]);
-      } catch (const cancelled_error&) {
-        solo_outcome[b] = outcome::cancelled;
-      } catch (const timeout_error& failure) {
-        solo_outcome[b] = outcome::timed_out;
-        solo_error[b] = failure.what();
-      } catch (const std::exception& failure) {
-        solo_outcome[b] = outcome::failed;
-        solo_error[b] = failure.what();
-      }
+      const job_record& job = *batch[b];
+      solo_state[b] = run_to_outcome(
+          [&] {
+            NWDEC_FAILPOINT("api.job.sweep.evaluate");
+            solo[b] = service_.evaluate(
+                job.queries, [&job] { job.check_running(); }, &solo_trace[b]);
+          },
+          solo_error[b]);
     }
   }
   lock.lock();
@@ -739,13 +757,9 @@ void job_scheduler::run_sweep_batch(std::unique_lock<std::mutex>& lock) {
       job.trace.batch_points = combined.size();
       job.trace.spans = batch_trace;
     }
-    if (batch_failed && solo_outcome[b] != outcome::ok) {
+    if (batch_failed && solo_state[b] != job_state::done) {
       job.error = solo_error[b];
-      finish(job, solo_outcome[b] == outcome::cancelled
-                      ? job_state::cancelled
-                      : solo_outcome[b] == outcome::timed_out
-                            ? job_state::timed_out
-                            : job_state::failed);
+      finish(job, solo_state[b]);
       continue;
     }
     // Slice this job's points back out (or take its solo rerun) and
@@ -777,65 +791,36 @@ void job_scheduler::run_refine(std::unique_lock<std::mutex>& lock,
                                const std::shared_ptr<job_record>& job) {
   lock.unlock();
   service::refine_result refined;
-  enum class outcome { ok, failed, cancelled, timed_out };
-  outcome result = outcome::ok;
   std::string error;
-  const auto check = [&job] {
-    if (job->cancel_requested.load(std::memory_order_relaxed)) {
-      throw cancelled_error("job cancelled");
-    }
-    if (job->has_deadline &&
-        std::chrono::steady_clock::now() >= job->deadline) {
-      throw timeout_error("job deadline expired");
-    }
-  };
   const auto refine_start = std::chrono::steady_clock::now();
-  try {
-    refined = service::refine(
-        service_, job->refinement,
-        [this, job](std::size_t evaluations) {
-          const std::lock_guard<std::mutex> progress_lock(mutex_);
-          job->progress_done = evaluations;
-          publish_event_locked(*job, "progress", false,
-                               json_fragment([&](json_writer& json) {
-                                 json.field("done", evaluations);
-                                 json.field("total", job->progress_total);
-                               }));
-        },
-        check);
-  } catch (const cancelled_error&) {
-    result = outcome::cancelled;
-  } catch (const timeout_error& failure) {
-    result = outcome::timed_out;
-    error = failure.what();
-  } catch (const std::exception& failure) {
-    result = outcome::failed;
-    error = failure.what();
-  }
+  const job_state outcome = run_to_outcome(
+      [&] {
+        refined = service::refine(
+            service_, job->refinement,
+            [this, job](std::size_t evaluations) {
+              const std::lock_guard<std::mutex> progress_lock(mutex_);
+              job->progress_done = evaluations;
+              publish_event_locked(*job, "progress", false,
+                                   json_fragment([&](json_writer& json) {
+                                     json.field("done", evaluations);
+                                     json.field("total", job->progress_total);
+                                   }));
+            },
+            [&job] { job->check_running(); });
+      },
+      error);
   lock.lock();
   // Refine probes all funnel through the shared store; the whole wall is
   // the engine span (refine has no finer instrumented spans).
   job->trace.batch_jobs = 1;
   job->trace.spans.engine_seconds =
       seconds_between(refine_start, std::chrono::steady_clock::now());
-  switch (result) {
-    case outcome::ok:
-      job->refined =
-          std::make_shared<const service::refine_result>(std::move(refined));
-      finish(*job, job_state::done);
-      break;
-    case outcome::cancelled:
-      finish(*job, job_state::cancelled);
-      break;
-    case outcome::timed_out:
-      job->error = error;
-      finish(*job, job_state::timed_out);
-      break;
-    case outcome::failed:
-      job->error = error;
-      finish(*job, job_state::failed);
-      break;
+  if (outcome == job_state::done) {
+    job->refined =
+        std::make_shared<const service::refine_result>(std::move(refined));
   }
+  job->error = error;
+  finish(*job, outcome);
 }
 
 }  // namespace nwdec::api

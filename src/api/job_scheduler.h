@@ -164,6 +164,11 @@ class job_scheduler {
   /// its drain budget.
   std::size_t cancel_all();
 
+  /// Blocks until no job is queued or running, or until `deadline`;
+  /// true when the scheduler went idle. The socket chassis waits on it
+  /// inside its drain window (and cancel_all()s when it returns false).
+  bool wait_idle(std::chrono::steady_clock::time_point deadline);
+
   scheduler_stats stats() const;
 
  private:

@@ -173,38 +173,47 @@ int socket_server::serve(dispatcher& dispatch) {
   draining_.store(true, std::memory_order_relaxed);
   dispatch.scheduler().close_event_streams();
 
+  // One drain window of drain_ms (zero: none) bounds everything still in
+  // flight: the connections and the jobs.
   std::unique_lock<std::mutex> lock(mutex_);
+  const auto drain_start = std::chrono::steady_clock::now();
+  const auto drain_deadline =
+      drain_start + std::chrono::milliseconds(limits_.drain_ms);
   if (limits_.drain_ms > 0 && active_ > 0) {
     // Graceful drain: half-close every connection -- their reads return
     // 0, so each thread answers what it already buffered and exits --
-    // and give in-flight requests up to drain_ms to finish before the
-    // hard close below. Responses still flow during the window (only
-    // the read side is shut).
+    // and give in-flight requests until the window closes to finish
+    // before the hard close below. Responses still flow during the
+    // window (only the read side is shut).
     transport_metrics::get().drains.inc();
     logging::event(logging::level::info, "tcp", "draining")
         .field("connections", active_)
         .field("drain_ms", limits_.drain_ms);
-    const auto drain_start = std::chrono::steady_clock::now();
     for (const int client : clients_) ::shutdown(client, SHUT_RD);
-    idle_cv_.wait_for(lock, std::chrono::milliseconds(limits_.drain_ms),
-                      [this] { return active_ == 0; });
-    const std::size_t stragglers = active_;
-    if (stragglers > 0) {
-      transport_metrics::get().drain_forced.inc(stragglers);
-      logging::event(logging::level::warn, "tcp", "drain_deadline")
-          .field("forced", stragglers);
-      // A force-closed socket cannot unblock a thread waiting inside a
-      // synchronous evaluation; cancelling every outstanding job releases
-      // those cooperatively.
-      lock.unlock();
-      dispatch.scheduler().cancel_all();
-      lock.lock();
-    }
+    idle_cv_.wait_until(lock, drain_deadline,
+                        [this] { return active_ == 0; });
+  }
+  const std::size_t stragglers = active_;
+  lock.unlock();
+  // Jobs get the rest of the window -- async ones that no connection
+  // waits on included -- and whatever is still queued or running when it
+  // closes is cancelled: a force-closed socket cannot unblock a thread
+  // waiting inside a synchronous evaluation, and a running job would
+  // otherwise pin the process past its drain budget.
+  if (stragglers > 0 || !dispatch.scheduler().wait_idle(drain_deadline)) {
+    transport_metrics::get().drain_forced.inc(stragglers);
+    const std::size_t cancelled = dispatch.scheduler().cancel_all();
+    logging::event(logging::level::warn, "tcp", "drain_deadline")
+        .field("forced", stragglers)
+        .field("cancelled_jobs", cancelled);
+  }
+  if (limits_.drain_ms > 0) {
     transport_metrics::get().drain_seconds.set(
         std::chrono::duration<double>(std::chrono::steady_clock::now() -
                                       drain_start)
             .count());
   }
+  lock.lock();
   // Unblock every remaining connection thread (reads AND writes fail
   // from here), then wait for the last one to deregister -- `dispatch`
   // and `this` must outlive them.

@@ -51,8 +51,8 @@ struct tcp_limits {
   /// Shed accepts past this many live connections (0 = unbounded).
   std::size_t max_connections = 0;
   /// Graceful-drain window on shutdown: half-close connections, wait
-  /// this long for in-flight requests to finish, then force-close
-  /// (0 = force-close immediately).
+  /// this long for in-flight requests and jobs to finish, then
+  /// force-close and cancel every job still outstanding (0 = at once).
   int drain_ms = 0;
 };
 
@@ -105,10 +105,12 @@ class socket_server : public transport {
 
   /// Accept loop; returns 0 after shutdown() completes it. When shutdown
   /// begins, the dispatcher's event streams are closed (subscription
-  /// pumps end like any other in-flight request); when the drain window
-  /// expires with connections still busy, its outstanding jobs are
-  /// cancelled (a force-closed socket alone cannot release a thread
-  /// waiting on a synchronous evaluation).
+  /// pumps end like any other in-flight request); the drain window
+  /// (tcp_limits::drain_ms) then bounds both the connections and the
+  /// dispatcher's jobs: every job still queued or running when it closes
+  /// is cancelled, whether or not a connection is left (a force-closed
+  /// socket alone cannot release a thread waiting on a synchronous
+  /// evaluation, and an async job would pin the process).
   int serve(dispatcher& dispatch) override;
 
   /// Requests serve() to stop; safe from any thread, idempotent.

@@ -1,12 +1,9 @@
 #include "core/sweep_engine.h"
 
 #include <algorithm>
-#include <atomic>
 #include <charconv>
 #include <chrono>
 #include <cstring>
-#include <exception>
-#include <thread>
 #include <unordered_map>
 
 #include "codes/factory.h"
@@ -16,6 +13,7 @@
 #include "util/csv.h"
 #include "util/error.h"
 #include "util/json.h"
+#include "util/parallel.h"
 #include "util/rng.h"
 #include "util/stats.h"
 #include "yield/analytic_yield.h"
@@ -195,11 +193,9 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
   NWDEC_EXPECTS(!points.empty(),
                 "a design-space sweep needs at least one grid point");
 
-  std::size_t budget = options.threads;
-  if (budget == 0) {
-    budget = std::max<std::size_t>(1, std::thread::hardware_concurrency());
-  }
-  const std::size_t workers = std::min(budget, points.size());
+  const std::size_t budget =
+      options.threads == 0 ? thread_budget() : options.threads;
+  const std::size_t workers = runner_count(points.size(), budget);
   const std::size_t inner_threads = std::max<std::size_t>(1, budget / workers);
 
   // Prepare phase: resolve platform defaults and bind every point to its
@@ -227,15 +223,12 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
     }
   }
 
-  // Evaluation phase: shard points across workers through an atomic cursor.
-  // Slot k belongs to point k alone and its Monte-Carlo run key depends
-  // only on (seed, the point itself), so the result is independent of the
-  // sharding, the grid order, and the other grid points.
+  // Evaluation phase: shard points across workers (parallel_for's atomic
+  // cursor). Slot k belongs to point k alone and its Monte-Carlo run key
+  // depends only on (seed, the point itself), so the result is independent
+  // of the sharding, the grid order, and the other grid points.
   std::vector<sweep_engine_entry> entries(points.size());
-  std::vector<std::exception_ptr> failures(points.size());
-  std::atomic<std::size_t> cursor{0};
-
-  const auto evaluate_one = [&](std::size_t k) {
+  parallel_for(points.size(), workers, [&](std::size_t, std::size_t k) {
     const sweep_request& request = resolved[k];
     const prepared_design& p = *prepared[k];
     sweep_engine_entry& entry = entries[k];
@@ -260,7 +253,6 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
       yield::mc_options mc;
       mc.mode = options.mode;
       mc.threads = inner_threads;
-      mc.block_size = options.mc_block_size;
       mc.defects = request.defects;
       mc.sigma_vt = request.sigma_vt;
       const std::uint64_t run_key =
@@ -279,32 +271,27 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
                                                     seed->m2);
         }
       }
+      // One loop for both budgets: a fixed budget is a single batch of the
+      // remaining trials; an mc_budget hook sizes each batch from the
+      // running Wilson estimate, request.mc_trials capping the schedule.
+      // The per-trial streams are counter-based, so any schedule summing
+      // to T is bit-identical to one T-trial batch.
       yield::mc_yield_result result = yield::mc_result_from_state(state);
-      if (!options.mc_budget) {
-        if (state.trials() < request.mc_trials) {
-          mc.trials = request.mc_trials - state.trials();
-          result = yield::monte_carlo_yield_resume(*p.context, mc, run_key,
-                                                   state);
-        }
-      } else {
-        // Batched leg: the hook sizes each batch from the running Wilson
-        // estimate; request.mc_trials caps the schedule. The per-trial
-        // streams are the same as the fixed path's, so a schedule summing
-        // to T is bit-identical to a fixed T-trial run.
-        while (state.trials() < request.mc_trials) {
+      while (state.trials() < request.mc_trials) {
+        std::size_t batch = request.mc_trials - state.trials();
+        if (options.mc_budget) {
           mc_budget_status status;
           status.trials_done = state.trials();
           status.nanowire_yield = state.mean();
           status.wilson_half_width = wilson_half_width(
               state.mean() * static_cast<double>(state.trials()),
               static_cast<double>(state.trials()));
-          std::size_t batch = options.mc_budget(request, status);
+          batch = std::min(batch, options.mc_budget(request, status));
           if (batch == 0) break;
-          batch = std::min(batch, request.mc_trials - state.trials());
-          mc.trials = batch;
-          result = yield::monte_carlo_yield_resume(*p.context, mc, run_key,
-                                                   state);
         }
+        mc.trials = batch;
+        result =
+            yield::monte_carlo_yield_resume(*p.context, mc, run_key, state);
       }
       const auto finished = std::chrono::steady_clock::now();
 
@@ -323,30 +310,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
                 : 0.0;
       }
     }
-  };
-
-  const auto drain = [&]() {
-    for (std::size_t k = cursor.fetch_add(1); k < resolved.size();
-         k = cursor.fetch_add(1)) {
-      try {
-        evaluate_one(k);
-      } catch (...) {
-        failures[k] = std::current_exception();
-      }
-    }
-  };
-
-  if (workers <= 1) {
-    drain();
-  } else {
-    std::vector<std::thread> pool;
-    pool.reserve(workers);
-    for (std::size_t t = 0; t < workers; ++t) pool.emplace_back(drain);
-    for (std::thread& worker : pool) worker.join();
-  }
-  for (const std::exception_ptr& failure : failures) {
-    if (failure) std::rethrow_exception(failure);
-  }
+  });
 
   sweep_engine_report report;
   report.mode = options.mode;

@@ -8,15 +8,18 @@
 // each point needing the same expensive intermediates. The engine evaluates
 // such grids once, in parallel, without deriving anything twice:
 //
-//   * Design points (not Monte-Carlo trials) are sharded across
-//     std::thread workers through an atomic cursor. A point's Monte-Carlo
-//     leg always uses the run key rng::from_counter(seed, fingerprint)
-//     where the fingerprint is a pure function of the resolved request,
-//     and the engine's per-trial streams are counter-based (PR 1) -- so
-//     results are bit-identical for any thread count, invariant under
-//     grid-point reordering, and never shifted by which other points exist
-//     or whether they carry Monte-Carlo at all. (Corollary: two identical
-//     requests produce identical entries.)
+//   * Design points are sharded across workers by util/parallel's
+//     parallel_for (one atomic cursor); the thread budget (options.threads,
+//     0 = thread_budget()) is split as budget / workers runners for each
+//     point's Monte-Carlo leg. That leg is one call path: batches of
+//     yield::monte_carlo_yield_resume, which runs fixed blocks of
+//     yield::mc_default_block_size trials. It always uses the run key
+//     rng::from_counter(seed, fingerprint) where the fingerprint is a pure
+//     function of the resolved request, and the per-trial streams are
+//     counter-based -- so results are bit-identical for any thread count,
+//     invariant under grid-point reordering, and never shifted by which
+//     other points exist or whether they carry Monte-Carlo at all.
+//     (Corollary: two identical requests produce identical entries.)
 //   * Expensive intermediates are memoized in keyed caches that persist
 //     across run() calls (the substrate for a long-running sweep service).
 //
@@ -151,18 +154,13 @@ using mc_resume_fn =
 
 /// Engine run configuration.
 struct sweep_engine_options {
-  /// Worker threads; 0 = std::thread::hardware_concurrency(). Design points
-  /// are sharded across workers; when the grid is smaller than the budget,
-  /// the spare threads shard each point's Monte-Carlo trials instead.
-  /// Results are bit-identical regardless of the value.
+  /// Thread budget; 0 = thread_budget(). Design points are sharded across
+  /// workers; when the grid is smaller than the budget, the spare threads
+  /// shard each point's Monte-Carlo trial blocks instead. Results are
+  /// bit-identical regardless of the value.
   std::size_t threads = 0;
   std::uint64_t seed = 1;
   yield::mc_mode mode = yield::mc_mode::operational;
-  /// Trials per batched-kernel block for every point's Monte-Carlo leg
-  /// (yield::mc_options::block_size): 0 = the kernel default, 1 = the
-  /// scalar per-trial oracle path. Bit-identical results either way; this
-  /// is a performance knob benches use to compare the two kernels.
-  std::size_t mc_block_size = 0;
   /// When set, each point's Monte-Carlo leg runs in batches sized by this
   /// hook (request.mc_trials stays the hard cap); unset = one fixed batch
   /// of request.mc_trials. Batched and fixed runs over the same total are

@@ -110,7 +110,6 @@ sweep_service::sweep_service(crossbar::crossbar_spec spec,
   engine_options_.threads = options_.threads;
   engine_options_.seed = options_.seed;
   engine_options_.mode = options_.mode;
-  engine_options_.mc_block_size = options_.mc_block_size;
   if (options_.adaptive.has_value()) options_.adaptive->validate();
   // The rung schedule of per-query min_half_width targets: the service's
   // adaptive policy when one is configured, the documented defaults

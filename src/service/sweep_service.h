@@ -28,6 +28,13 @@
 //     payload a pure function of (config, query) regardless of what the
 //     cache happens to hold.
 //
+// Every computed Monte-Carlo figure comes from one call path: the engine's
+// batches of yield::monte_carlo_yield_resume, which runs fixed blocks of
+// yield::mc_default_block_size trials. service_options::threads is the
+// engine's thread budget (0 = util/parallel's thread_budget()); neither
+// it nor the block size is part of a result, so neither is in the cache
+// header.
+//
 // The service is internally synchronized: the store (and its counters) are
 // guarded by a mutex held only around the lookup/insert passes, while
 // engine runs proceed unlocked (core::sweep_engine supports concurrent
@@ -55,13 +62,9 @@ namespace nwdec::service {
 /// Service-wide run configuration; fixed for the service's lifetime (it is
 /// part of every cached result's validity -- see store_header).
 struct service_options {
-  std::size_t threads = 0;  ///< engine workers; 0 = hardware concurrency
+  std::size_t threads = 0;  ///< engine thread budget; 0 = thread_budget()
   std::uint64_t seed = 2009;
   yield::mc_mode mode = yield::mc_mode::operational;
-  /// Trials per batched-kernel block (0 = kernel default, 1 = the scalar
-  /// oracle path). Not part of the cache header: block size never changes
-  /// results, only how fast the engine produces them.
-  std::size_t mc_block_size = 0;
   std::size_t cache_capacity = 1 << 16;
   /// CI-width stopping policy applied to every sweep point; unset = fixed
   /// budgets (request.mc_trials). Its (initial_batch, growth) also

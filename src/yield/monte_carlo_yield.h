@@ -13,35 +13,32 @@
 //     >= window yield (typically by a few percent).
 // Optionally a structural defect map (fab/defects.h) is sampled per trial.
 //
-// Engine architecture: trials are grouped into fixed-size blocks
-// (mc_options::block_size) and contiguous block ranges are sharded across
-// std::thread workers. Worker state is a trial_context (immutable,
-// precomputed per-design tables, shared) plus a per-thread trial_scratch
-// (reusable buffers and structure-of-arrays slabs), so the hot loop
-// performs no heap allocation. Each block runs through the batched kernel
-// (trial_context::run_trial_block): one counter-based deviate pass fills a
-// lane-major realized-V_T slab for the whole block, and conductance /
-// window verdicts are swept across all trial lanes of a nanowire at once
-// by the branch-free kernels in decoder/addressing. Trial i always
-// consumes the counter-based stream rng::from_counter(run_key, i) --
-// whether a block kernel or the scalar path (block_size 1, kept as the
-// equivalence oracle) runs it -- and its good count lands in slot i of a
-// preallocated array; the final statistics are reduced sequentially in
-// trial order. Results are therefore bit-identical for any thread count
-// AND any block size. The allocating scalar reference
-// (monte_carlo_yield_reference) samples the identical distribution through
-// the op-by-op process walk, so agreement with it is statistical, not
-// bitwise; it is kept for validation and benchmarking.
+// Engine architecture: one entry, monte_carlo_yield_resume. Trials are
+// grouped into blocks of mc_default_block_size, and the blocks are handed
+// out to up to mc_options::threads runners by util/parallel's
+// parallel_for (0 = thread_budget()). Runner state is a trial_context
+// (immutable, precomputed per-design tables, shared) plus one trial_scratch
+// per runner (reusable buffers and structure-of-arrays slabs), so the hot
+// loop performs no heap allocation. Each block runs through the batched
+// kernel (trial_context::run_trial_block): one counter-based deviate pass
+// fills a lane-major realized-V_T slab for the whole block, and
+// conductance / window verdicts are swept across all trial lanes of a
+// nanowire at once by the branch-free kernels in decoder/addressing. Trial
+// i always consumes the counter-based stream rng::from_counter(run_key, i)
+// and its good count lands in slot i of a preallocated array; the final
+// statistics are reduced sequentially in trial order. Results are
+// therefore bit-identical for any thread count and any batch schedule
+// (mc_run_state). The scalar per-trial trial_context::run_trial is the
+// batched kernel's equivalence oracle, and the op-by-op reference loop
+// that samples the same distribution lives with the other oracles in the
+// test kit (tests/support), not in this API.
 #pragma once
 
 #include <cstddef>
 #include <cstdint>
 #include <optional>
 
-#include "crossbar/contact_groups.h"
-#include "decoder/decoder_design.h"
 #include "fab/defects.h"
-#include "util/rng.h"
 #include "util/stats.h"
 #include "yield/trial_context.h"
 
@@ -55,47 +52,26 @@ struct mc_yield_result {
   std::size_t trials = 0;
 };
 
-/// Default trial-block size of the batched kernel: big enough that the
-/// structure-of-arrays conductance sweeps amortize, small enough that a
-/// block's slabs stay cache-resident for typical designs (bench_mc_engine's
-/// kernel section sweeps the candidates; 16-128 measure within noise of
-/// each other on the Figs. 7/8 design, with 32 the repeatable best).
+/// Trial-block size of the batched kernel, the one block size production
+/// runs: big enough that the structure-of-arrays conductance sweeps
+/// amortize, small enough that a block's slabs stay cache-resident for
+/// typical designs (16-128 measure within noise of each other on the
+/// Figs. 7/8 design, with 32 the repeatable best).
 inline constexpr std::size_t mc_default_block_size = 32;
 
 /// Options for the Monte-Carlo engine.
 struct mc_options {
   mc_mode mode = mc_mode::window;
   std::size_t trials = 0;
-  /// Worker threads; 0 means std::thread::hardware_concurrency(). Results
-  /// are bit-identical regardless of the value.
+  /// Runners; 0 means thread_budget() (util/parallel.h). Results are
+  /// bit-identical regardless of the value.
   std::size_t threads = 1;
-  /// Trials per batched-kernel block (trial_context::run_trial_block):
-  /// 0 = mc_default_block_size, 1 = the scalar per-trial path (kept as the
-  /// batched kernel's equivalence oracle). Results are bit-identical for
-  /// every value -- the block size is a performance knob, not a semantic
-  /// one -- and bench_mc_engine's kernel section enforces that gate.
-  std::size_t block_size = 0;
   /// Structural defect injection, sampled per trial when set.
   std::optional<fab::defect_params> defects;
   /// Process sigma override in volts; the design technology's sigma_vt
   /// when unset (core::sweep_engine scans sigma on one context with it).
   std::optional<double> sigma_vt;
 };
-
-/// Runs `options.trials` independent fabrications of the half cave and
-/// counts addressable nanowires under the chosen criterion. Draws one
-/// 64-bit run key from `random` and shards trials across workers; see the
-/// header comment for the determinism contract.
-mc_yield_result monte_carlo_yield(const decoder::decoder_design& design,
-                                  const crossbar::contact_group_plan& plan,
-                                  const mc_options& options, rng& random);
-
-/// Engine core on a prebuilt context: the amortized path for running many
-/// grid points without re-deriving the per-design tables.
-/// `run_key` seeds the per-trial counter-based streams.
-mc_yield_result monte_carlo_yield(const trial_context& context,
-                                  const mc_options& options,
-                                  std::uint64_t run_key);
 
 /// Saved progress of a resumable Monte-Carlo run: the per-trial yield
 /// accumulator (count = trials consumed so far, running mean, Welford M2).
@@ -119,13 +95,12 @@ struct mc_run_state {
   }
 };
 
-/// Resumable engine entry: runs `options.trials` *further* trials starting
-/// at trial index state.trials(), folds them into `state` in trial order,
-/// and returns the merged estimate over all state.trials() trials so far.
-/// Sharding across `options.threads` never changes the bits; see
-/// mc_run_state for the batching contract. A fresh state with one batch of
-/// T trials reproduces monte_carlo_yield(context, options, run_key) with
-/// options.trials == T exactly.
+/// The engine: runs `options.trials` *further* trials starting at trial
+/// index state.trials(), folds them into `state` in trial order, and
+/// returns the merged estimate over all state.trials() trials so far.
+/// `run_key` seeds the per-trial counter-based streams. Sharding across
+/// `options.threads` never changes the bits; see mc_run_state for the
+/// batching contract (a fresh state is a cold run).
 mc_yield_result monte_carlo_yield_resume(const trial_context& context,
                                          const mc_options& options,
                                          std::uint64_t run_key,
@@ -138,15 +113,5 @@ mc_yield_result monte_carlo_yield_resume(const trial_context& context,
 /// the identical mc_yield_result without running a trial. This is the
 /// cross-restart top-up path of the sweep service.
 mc_yield_result mc_result_from_state(const mc_run_state& state);
-
-/// The original allocating scalar loop, preserved as the validation
-/// baseline: it samples the same realized-V_T distribution through the
-/// op-by-op process walk (different draws, so agreement with the engine is
-/// statistical), and bench_mc_engine measures the speedup against it.
-mc_yield_result monte_carlo_yield_reference(
-    const decoder::decoder_design& design,
-    const crossbar::contact_group_plan& plan, mc_mode mode,
-    std::size_t trials, rng& random,
-    const std::optional<fab::defect_params>& defects = std::nullopt);
 
 }  // namespace nwdec::yield

@@ -134,12 +134,6 @@ std::size_t trial_context::run_trial(rng& stream, trial_scratch& scratch,
   return good;
 }
 
-std::size_t trial_context::run_trial(rng& stream, trial_scratch& scratch,
-                                     mc_mode mode,
-                                     const fab::defect_params* defects) const {
-  return run_trial(stream, scratch, mode, design_.tech().sigma_vt, defects);
-}
-
 void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
                                     std::size_t count, trial_scratch& scratch,
                                     mc_mode mode, double sigma_vt,

@@ -94,10 +94,6 @@ class trial_context {
                         double sigma_vt,
                         const fab::defect_params* defects) const;
 
-  /// Same, at the design technology's sigma_vt.
-  std::size_t run_trial(rng& stream, trial_scratch& scratch, mc_mode mode,
-                        const fab::defect_params* defects) const;
-
   /// Blocked trial kernel: runs trials [first, first + count) of the run
   /// keyed by `run_key` -- trial i consuming the stream
   /// rng::from_counter(run_key, i), exactly as run_trial does -- and writes

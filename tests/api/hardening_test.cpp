@@ -3,7 +3,8 @@
 // garbage) get exactly one machine-readable error line -- never a crash,
 // never a hang; the tcp_limits bounds (read deadline, byte cap,
 // connection cap) answer with their documented error codes; graceful
-// drain finishes in-flight work before closing.
+// drain finishes in-flight work before closing, and its window bounds
+// the jobs still running when it closes.
 #include <gtest/gtest.h>
 
 #include <chrono>
@@ -198,6 +199,90 @@ TEST(HardeningTest, DrainAnswersTheBufferedRequestBeforeClosing) {
   server.transport.shutdown();
   EXPECT_NE(client.recv_line().find("\"ok\":true"), std::string::npos);
   EXPECT_TRUE(client.closed());
+}
+
+/// The job id in an async submission's answer line (0 when absent).
+std::uint64_t job_of(const std::string& line) {
+  const std::size_t at = line.find("\"job\":");
+  return at == std::string::npos ? 0 : std::stoull(line.substr(at + 6));
+}
+
+TEST(HardeningTest, DrainWindowCancelsAJobNoConnectionWaitsOn) {
+  // A long async sweep keeps running after its client hangs up. Shutdown
+  // must not wait for it: the drain window closes, the job is cancelled
+  // at its next Monte-Carlo batch (small N keeps a batch short even under
+  // a sanitizer), and serve() plus the dispatcher's teardown finish well
+  // inside 2 s.
+  const auto started = std::chrono::steady_clock::now();
+  std::uint64_t job = 0;
+  std::string status;
+  {
+    service::sweep_service service(crossbar::crossbar_spec{},
+                                   device::paper_technology(),
+                                   service::service_options{});
+    dispatcher dispatch(service, one_worker());
+    tcp_limits limits;
+    limits.drain_ms = 300;
+    tcp_transport transport(0, 64, limits);
+    std::thread server([&] { transport.serve(dispatch); });
+    {
+      test_client client(transport.port());
+      client.send(
+          R"({"id":1,"kind":"sweep","async":true,"codes":["TC"],)"
+          R"("lengths":[8],"nanowires":[10],"trials":50000000})"
+          "\n");
+      job = job_of(client.recv_line());
+    }
+    ASSERT_NE(job, 0u);
+    for (int spin = 0;
+         spin < 2000 && dispatch.scheduler().stats().running == 0; ++spin) {
+      std::this_thread::sleep_for(std::chrono::milliseconds(1));
+    }
+    transport.shutdown();
+    server.join();
+    status = dispatch.handle_line(R"({"id":2,"kind":"status","job":)" +
+                                  std::to_string(job) + R"(,"wait":true})");
+  }
+  const double seconds = std::chrono::duration<double>(
+                             std::chrono::steady_clock::now() - started)
+                             .count();
+  EXPECT_LT(seconds, 2.0);
+  EXPECT_NE(status.find("\"state\":\"cancelled\""), std::string::npos)
+      << status;
+}
+
+TEST(HardeningTest, JobsFinishingInsideTheDrainWindowEndDone) {
+  // Still running at shutdown, done long before the (generous) window
+  // closes: the drain waits for it instead of cancelling it.
+  service::sweep_service service(crossbar::crossbar_spec{},
+                                 device::paper_technology(),
+                                 service::service_options{});
+  dispatcher dispatch(service, one_worker());
+  tcp_limits limits;
+  limits.drain_ms = 20000;
+  tcp_transport transport(0, 64, limits);
+  std::thread server([&] { transport.serve(dispatch); });
+  std::uint64_t job = 0;
+  {
+    test_client client(transport.port());
+    client.send(
+        R"({"id":1,"kind":"sweep","async":true,"codes":["TC"],)"
+        R"("lengths":[8],"trials":200000})"
+        "\n");
+    job = job_of(client.recv_line());
+  }
+  ASSERT_NE(job, 0u);
+  for (int spin = 0;
+       spin < 2000 && dispatch.scheduler().stats().running == 0; ++spin) {
+    std::this_thread::sleep_for(std::chrono::milliseconds(1));
+  }
+  transport.shutdown();
+  server.join();
+  const std::string status =
+      dispatch.handle_line(R"({"id":2,"kind":"status","job":)" +
+                           std::to_string(job) + "}");
+  EXPECT_NE(status.find("\"state\":\"done\""), std::string::npos)
+      << status;
 }
 
 TEST(HardeningTest, CancelAllReleasesQueuedJobs) {

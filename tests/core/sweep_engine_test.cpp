@@ -10,6 +10,7 @@
 #include <cstdlib>
 #include <set>
 #include <sstream>
+#include <stdexcept>
 
 #include "codes/factory.h"
 #include "core/design_explorer.h"
@@ -75,15 +76,14 @@ TEST(SweepEngineTest, BitIdenticalAcrossThreadCounts) {
 
   options.threads = 1;
   const sweep_engine_report one = engine.run(grid, options);
-  options.threads = 2;
-  const sweep_engine_report two = engine.run(grid, options);
-  options.threads = 8;
-  const sweep_engine_report eight = engine.run(grid, options);
-
   ASSERT_EQ(one.entries.size(), grid.size());
-  for (std::size_t k = 0; k < grid.size(); ++k) {
-    expect_entries_identical(one.entries[k], two.entries[k]);
-    expect_entries_identical(one.entries[k], eight.entries[k]);
+  // 0 = the thread budget; 3 splits unevenly across points and trials.
+  for (const std::size_t threads : {0UL, 2UL, 3UL, 8UL}) {
+    options.threads = threads;
+    const sweep_engine_report other = engine.run(grid, options);
+    for (std::size_t k = 0; k < grid.size(); ++k) {
+      expect_entries_identical(one.entries[k], other.entries[k]);
+    }
   }
   const auto mc_yield = [&](std::size_t k) {
     return one.entries[ladder + k].evaluation.mc_nanowire_yield;
@@ -373,6 +373,32 @@ TEST(SweepEngineBudgetTest, HookControlsBatchesAndRecordsTrialsUsed) {
   const sweep_engine_report probed = engine.run({request}, observed);
   EXPECT_EQ(probed.entries[0].mc_trials_used, 100u);
   EXPECT_EQ(calls.load(), 2u);
+}
+
+TEST(SweepEngineBudgetTest, AThrowingHookPropagatesOutOfRun) {
+  // A hook that throws (the sweep service's cancellation check does) ends
+  // run() with that exception at every thread budget -- never a
+  // std::terminate from a worker thread.
+  const sweep_engine engine = make_engine();
+  std::vector<sweep_request> grid;
+  for (const double sigma : {0.03, 0.05, 0.07, 0.09}) {
+    sweep_request request;
+    request.design = {codes::code_type::gray, 2, 8};
+    request.sigma_vt = sigma;
+    request.mc_trials = 200;
+    grid.push_back(request);
+  }
+  sweep_engine_options options;
+  options.mc_budget = [](const sweep_request& request,
+                         const mc_budget_status& status) -> std::size_t {
+    if (request.sigma_vt > 0.06) throw std::runtime_error("stop");
+    return status.trials_done >= request.mc_trials ? 0 : 50;
+  };
+  for (const std::size_t threads : {1UL, 2UL, 8UL}) {
+    options.threads = threads;
+    EXPECT_THROW(engine.run(grid, options), std::runtime_error)
+        << "threads " << threads;
+  }
 }
 
 // ------------------------------------------------------------- serializers

@@ -12,6 +12,7 @@
 #include "device/tech_params.h"
 #include "fab/process_flow.h"
 #include "fab/process_sim.h"
+#include "mc_oracles.h"
 #include "yield/analytic_yield.h"
 #include "yield/monte_carlo_yield.h"
 
@@ -113,8 +114,8 @@ TEST(PipelineTest, FullEvaluationIsDeterministic) {
   options.mode = yield::mc_mode::operational;
   options.trials = 40;
   EXPECT_DOUBLE_EQ(
-      yield::monte_carlo_yield(design, plan, options, a).nanowire_yield,
-      yield::monte_carlo_yield(design, plan, options, b).nanowire_yield);
+      testkit::monte_carlo_yield(design, plan, options, a).nanowire_yield,
+      testkit::monte_carlo_yield(design, plan, options, b).nanowire_yield);
 }
 
 TEST(PipelineTest, WindowCriterionIsSufficientForPerfectDecode) {
@@ -206,7 +207,7 @@ TEST(PipelineTest, TernaryPipelineEndToEnd) {
   options.trials = 100;
   rng random(3);
   const yield::mc_yield_result mc =
-      yield::monte_carlo_yield(design, plan, options, random);
+      testkit::monte_carlo_yield(design, plan, options, random);
   EXPECT_NEAR(mc.nanowire_yield, y.nanowire_yield, 0.06);
 }
 

@@ -1,17 +1,18 @@
 // Bit-identity of the batched Monte-Carlo trial kernel: for every block
 // size, thread count, trial count (including partial tail blocks), mode,
-// and stochastic channel, the blocked engine must reproduce the scalar
-// per-trial path -- its equivalence oracle (mc_options::block_size == 1) --
-// to the bit. The batched path changes how deviates are generated and how
-// conductance is checked, never which deviates or which verdicts.
+// and stochastic channel, the blocked kernel -- and the production engine
+// that runs it at mc_default_block_size -- must reproduce the scalar
+// per-trial path (trial_context::run_trial, the test kit's block-1
+// oracle) to the bit. The batched path changes how deviates are generated
+// and how conductance is checked, never which deviates or which verdicts.
 #include <gtest/gtest.h>
 
 #include <vector>
 
 #include "codes/factory.h"
-#include "core/sweep_engine.h"
 #include "crossbar/contact_groups.h"
 #include "device/tech_params.h"
+#include "mc_oracles.h"
 #include "util/error.h"
 #include "yield/monte_carlo_yield.h"
 
@@ -37,8 +38,8 @@ void expect_bit_identical(const mc_yield_result& a, const mc_yield_result& b,
 }
 
 TEST(McBlockKernelTest, BitIdenticalAcrossBlockSizesAndThreads) {
-  // The ISSUE's matrix: block sizes {1, 7, 64} x threads {1, 4}, both
-  // criteria, with and without defects, and trial counts that leave
+  // Block sizes {7, 64} of the kernel and the engine at threads {1, 4},
+  // both criteria, with and without defects, and trial counts that leave
   // partial tail blocks (97 = 64 + 33; 5 < any block).
   fixture f;
   for (const mc_mode mode : {mc_mode::window, mc_mode::operational}) {
@@ -47,26 +48,27 @@ TEST(McBlockKernelTest, BitIdenticalAcrossBlockSizesAndThreads) {
         mc_options options;
         options.mode = mode;
         options.trials = trials;
-        options.threads = 1;
-        options.block_size = 1;  // the scalar oracle
         if (with_defects) options.defects = fab::defect_params{0.05, 0.02};
         const mc_yield_result oracle =
-            monte_carlo_yield(f.context, options, 0xfeedULL);
+            testkit::monte_carlo_yield_blocked(f.context, options, 0xfeedULL,
+                                               1);
+        const std::string what =
+            "mode " + std::to_string(static_cast<int>(mode)) + " defects " +
+            std::to_string(with_defects) + " trials " +
+            std::to_string(trials);
 
-        for (const std::size_t block : {1UL, 7UL, 64UL}) {
-          for (const std::size_t threads : {1UL, 4UL}) {
-            options.block_size = block;
-            options.threads = threads;
-            const mc_yield_result got =
-                monte_carlo_yield(f.context, options, 0xfeedULL);
-            expect_bit_identical(
-                oracle, got,
-                "mode " + std::to_string(static_cast<int>(mode)) +
-                    " defects " + std::to_string(with_defects) + " trials " +
-                    std::to_string(trials) + " block " +
-                    std::to_string(block) + " threads " +
-                    std::to_string(threads));
-          }
+        for (const std::size_t block : {7UL, 64UL}) {
+          expect_bit_identical(
+              oracle,
+              testkit::monte_carlo_yield_blocked(f.context, options,
+                                                 0xfeedULL, block),
+              what + " block " + std::to_string(block));
+        }
+        for (const std::size_t threads : {1UL, 4UL}) {
+          options.threads = threads;
+          expect_bit_identical(
+              oracle, testkit::monte_carlo_yield(f.context, options, 0xfeedULL),
+              what + " engine threads " + std::to_string(threads));
         }
       }
     }
@@ -74,21 +76,24 @@ TEST(McBlockKernelTest, BitIdenticalAcrossBlockSizesAndThreads) {
 }
 
 TEST(McBlockKernelTest, DefaultBlockSizeIsTheBatchedKernel) {
-  // block_size 0 resolves to the kernel default; it must agree with the
-  // explicit oracle, proving the default engine path rides the new kernel
-  // without changing any result.
+  // The engine runs mc_default_block_size blocks of the batched kernel;
+  // it must agree with the scalar oracle and with an explicit run at that
+  // block size, proving production rides the batched kernel without
+  // changing any result.
   fixture f;
   mc_options options;
   options.mode = mc_mode::operational;
   options.trials = 150;
   options.threads = 1;
-  options.block_size = 1;
   const mc_yield_result oracle =
-      monte_carlo_yield(f.context, options, 2009);
-  options.block_size = 0;
-  const mc_yield_result defaulted =
-      monte_carlo_yield(f.context, options, 2009);
-  expect_bit_identical(oracle, defaulted, "default block size");
+      testkit::monte_carlo_yield_blocked(f.context, options, 2009, 1);
+  const mc_yield_result engine =
+      testkit::monte_carlo_yield(f.context, options, 2009);
+  expect_bit_identical(oracle, engine, "engine");
+  expect_bit_identical(
+      testkit::monte_carlo_yield_blocked(f.context, options, 2009,
+                                         mc_default_block_size),
+      engine, "explicit default block");
 }
 
 TEST(McBlockKernelTest, AllDefectiveTrialCountsZero) {
@@ -101,12 +106,16 @@ TEST(McBlockKernelTest, AllDefectiveTrialCountsZero) {
   options.trials = 40;
   options.threads = 1;
   options.defects = fab::defect_params{1.0, 0.0};
-  options.block_size = 1;
-  const mc_yield_result oracle = monte_carlo_yield(f.context, options, 11);
+  const mc_yield_result oracle =
+      testkit::monte_carlo_yield_blocked(f.context, options, 11, 1);
   EXPECT_EQ(oracle.nanowire_yield, 0.0);
-  options.block_size = 16;
-  const mc_yield_result blocked = monte_carlo_yield(f.context, options, 11);
-  expect_bit_identical(oracle, blocked, "all-defective");
+  expect_bit_identical(oracle,
+                       testkit::monte_carlo_yield_blocked(f.context, options,
+                                                          11, 16),
+                       "all-defective block 16");
+  expect_bit_identical(oracle,
+                       testkit::monte_carlo_yield(f.context, options, 11),
+                       "all-defective engine");
 }
 
 TEST(McBlockKernelTest, SmallestLegalDesign) {
@@ -124,73 +133,47 @@ TEST(McBlockKernelTest, SmallestLegalDesign) {
     options.mode = mode;
     options.trials = 33;
     options.threads = 1;
-    options.block_size = 1;
-    const mc_yield_result oracle = monte_carlo_yield(context, options, 3);
-    options.block_size = 8;
-    const mc_yield_result blocked = monte_carlo_yield(context, options, 3);
-    expect_bit_identical(oracle, blocked, "single-region");
+    const mc_yield_result oracle =
+        testkit::monte_carlo_yield_blocked(context, options, 3, 1);
+    expect_bit_identical(
+        oracle, testkit::monte_carlo_yield_blocked(context, options, 3, 8),
+        "single-region block 8");
+    expect_bit_identical(oracle,
+                         testkit::monte_carlo_yield(context, options, 3),
+                         "single-region engine");
   }
 }
 
 TEST(McBlockKernelTest, ResumeSchedulesAgreeAcrossBlockSizes) {
   // Any batch schedule summing to T is one fixed T-trial run, bit for bit
-  // (mc_run_state contract) -- and now also for any block size, so the
-  // sweep service's adaptive budgets ride the batched kernel unchanged.
+  // (mc_run_state contract) -- for the engine and for the kernel at any
+  // block size, so the sweep service's adaptive budgets ride the batched
+  // kernel unchanged. Batches of 50 and 67 split blocks mid-way.
   fixture f;
   mc_options options;
   options.mode = mc_mode::operational;
   options.trials = 120;
   options.threads = 1;
-  options.block_size = 1;
-  mc_run_state fixed_state;
   const mc_yield_result fixed =
-      monte_carlo_yield_resume(f.context, options, 17, fixed_state);
+      testkit::monte_carlo_yield_blocked(f.context, options, 17, 1);
 
   for (const std::size_t block : {7UL, 32UL}) {
     mc_run_state state;
     mc_yield_result resumed;
-    options.block_size = block;
     for (const std::size_t batch : {50UL, 3UL, 67UL}) {
       options.trials = batch;
-      resumed = monte_carlo_yield_resume(f.context, options, 17, state);
+      resumed = testkit::monte_carlo_yield_blocked(f.context, options, 17,
+                                                   block, state);
     }
-    options.trials = 120;
-    expect_bit_identical(fixed, resumed,
-                         "block " + std::to_string(block));
+    expect_bit_identical(fixed, resumed, "block " + std::to_string(block));
   }
-}
-
-TEST(McBlockKernelTest, SweepEngineBlockSizeIsAPerfKnobOnly) {
-  // The engine plumbing: mc_block_size must never change a report.
-  crossbar::crossbar_spec spec;
-  spec.nanowires_per_half_cave = 20;
-  const device::technology tech = device::paper_technology();
-  core::sweep_axes axes;
-  axes.designs = {{codes::code_type::gray, 2, 8},
-                  {codes::code_type::tree, 2, 8}};
-  axes.sigmas_vt = {0.04, 0.06};
-  axes.mc_trials = 90;
-
-  const core::sweep_engine engine(spec, tech);
-  core::sweep_engine_options options;
-  options.threads = 2;
-  options.seed = 2009;
-  options.mc_block_size = 1;
-  const core::sweep_engine_report oracle = engine.run(axes, options);
-  for (const std::size_t block : {0UL, 16UL, 64UL}) {
-    options.mc_block_size = block;
-    const core::sweep_engine_report got = engine.run(axes, options);
-    ASSERT_EQ(oracle.entries.size(), got.entries.size());
-    for (std::size_t k = 0; k < oracle.entries.size(); ++k) {
-      const core::design_evaluation& a = oracle.entries[k].evaluation;
-      const core::design_evaluation& b = got.entries[k].evaluation;
-      EXPECT_EQ(a.mc_nanowire_yield, b.mc_nanowire_yield)
-          << "block " << block << " entry " << k;
-      EXPECT_EQ(a.mc_ci_low, b.mc_ci_low);
-      EXPECT_EQ(a.mc_ci_high, b.mc_ci_high);
-      EXPECT_EQ(oracle.entries[k].mc_trials_used, got.entries[k].mc_trials_used);
-    }
+  mc_run_state state;
+  mc_yield_result resumed;
+  for (const std::size_t batch : {50UL, 3UL, 67UL}) {
+    options.trials = batch;
+    resumed = monte_carlo_yield_resume(f.context, options, 17, state);
   }
+  expect_bit_identical(fixed, resumed, "engine");
 }
 
 }  // namespace

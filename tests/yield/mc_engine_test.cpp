@@ -8,6 +8,7 @@
 #include "codes/factory.h"
 #include "crossbar/contact_groups.h"
 #include "device/tech_params.h"
+#include "mc_oracles.h"
 #include "util/error.h"
 #include "yield/analytic_yield.h"
 #include "yield/monte_carlo_yield.h"
@@ -32,9 +33,10 @@ void expect_bit_identical(const mc_yield_result& a, const mc_yield_result& b) {
 }
 
 TEST(McEngineTest, BitIdenticalAcrossThreadCounts) {
-  // Same seed + same trial count must give the same bits for 1, 2, and 8
-  // workers, in both criteria, with every stochastic channel active
-  // (process noise, boundary discards, structural defects).
+  // Same seed + same trial count must give the same bits for 0 (the
+  // thread budget), 1, 2, 3 and 8 runners, in both criteria, with every
+  // stochastic channel active (process noise, boundary discards,
+  // structural defects).
   fixture f;
   for (const mc_mode mode : {mc_mode::window, mc_mode::operational}) {
     mc_options options;
@@ -44,17 +46,15 @@ TEST(McEngineTest, BitIdenticalAcrossThreadCounts) {
 
     options.threads = 1;
     rng r1(42);
-    const mc_yield_result one = monte_carlo_yield(f.design, f.plan, options, r1);
-    options.threads = 2;
-    rng r2(42);
-    const mc_yield_result two = monte_carlo_yield(f.design, f.plan, options, r2);
-    options.threads = 8;
-    rng r8(42);
-    const mc_yield_result eight =
-        monte_carlo_yield(f.design, f.plan, options, r8);
-
-    expect_bit_identical(one, two);
-    expect_bit_identical(one, eight);
+    const mc_yield_result one =
+        testkit::monte_carlo_yield(f.design, f.plan, options, r1);
+    for (const std::size_t threads : {0UL, 2UL, 3UL, 8UL}) {
+      options.threads = threads;
+      rng again(42);
+      const mc_yield_result got =
+          testkit::monte_carlo_yield(f.design, f.plan, options, again);
+      expect_bit_identical(one, got);
+    }
   }
 }
 
@@ -71,9 +71,9 @@ TEST(McEngineTest, AgreesWithScalarReference) {
     options.trials = 800;
     options.threads = 2;
     const mc_yield_result engine =
-        monte_carlo_yield(f.design, f.plan, options, engine_rng);
+        testkit::monte_carlo_yield(f.design, f.plan, options, engine_rng);
     rng reference_rng(18);
-    const mc_yield_result reference = monte_carlo_yield_reference(
+    const mc_yield_result reference = testkit::monte_carlo_yield_reference(
         f.design, f.plan, mode, 800, reference_rng);
     EXPECT_NEAR(engine.nanowire_yield, reference.nanowire_yield, 0.025)
         << "mode " << static_cast<int>(mode);
@@ -91,9 +91,9 @@ TEST(McEngineTest, ReferenceAgreesWithDefectsToo) {
   options.threads = 4;
   options.defects = defects;
   const mc_yield_result engine =
-      monte_carlo_yield(f.design, f.plan, options, engine_rng);
+      testkit::monte_carlo_yield(f.design, f.plan, options, engine_rng);
   rng reference_rng(31);
-  const mc_yield_result reference = monte_carlo_yield_reference(
+  const mc_yield_result reference = testkit::monte_carlo_yield_reference(
       f.design, f.plan, mc_mode::window, 800, reference_rng, defects);
   EXPECT_NEAR(engine.nanowire_yield, reference.nanowire_yield, 0.03);
 }
@@ -109,7 +109,7 @@ TEST(McEngineTest, MultithreadedWindowModeMatchesAnalyticModel) {
   options.threads = 4;
   rng random(123);
   const mc_yield_result mc =
-      monte_carlo_yield(f.design, f.plan, options, random);
+      testkit::monte_carlo_yield(f.design, f.plan, options, random);
   EXPECT_NEAR(mc.nanowire_yield, analytic.nanowire_yield, 0.02);
 }
 
@@ -120,11 +120,11 @@ TEST(McEngineTest, SigmaOverrideDefaultsToTechnologySigma) {
   options.trials = 120;
   rng r1(3);
   const mc_yield_result implicit =
-      monte_carlo_yield(f.design, f.plan, options, r1);
+      testkit::monte_carlo_yield(f.design, f.plan, options, r1);
   options.sigma_vt = f.tech.sigma_vt;
   rng r2(3);
   const mc_yield_result explicit_sigma =
-      monte_carlo_yield(f.design, f.plan, options, r2);
+      testkit::monte_carlo_yield(f.design, f.plan, options, r2);
   expect_bit_identical(implicit, explicit_sigma);
 }
 
@@ -137,10 +137,10 @@ TEST(McEngineTest, PrebuiltContextMatchesConvenienceOverload) {
   const std::uint64_t run_key = random.engine()();
   const trial_context context(f.design, f.plan);
   const mc_yield_result from_context =
-      monte_carlo_yield(context, options, run_key);
+      testkit::monte_carlo_yield(context, options, run_key);
   rng again(9);
   const mc_yield_result from_design =
-      monte_carlo_yield(f.design, f.plan, options, again);
+      testkit::monte_carlo_yield(f.design, f.plan, options, again);
   expect_bit_identical(from_context, from_design);
 }
 
@@ -149,11 +149,11 @@ TEST(McEngineTest, InvalidOptionsRejected) {
   rng random(1);
   mc_options options;
   options.trials = 0;
-  EXPECT_THROW(monte_carlo_yield(f.design, f.plan, options, random),
+  EXPECT_THROW(testkit::monte_carlo_yield(f.design, f.plan, options, random),
                invalid_argument_error);
   options.trials = 10;
   options.sigma_vt = -0.1;
-  EXPECT_THROW(monte_carlo_yield(f.design, f.plan, options, random),
+  EXPECT_THROW(testkit::monte_carlo_yield(f.design, f.plan, options, random),
                invalid_argument_error);
 }
 
@@ -171,7 +171,7 @@ TEST(McEngineResumeTest, AnyBatchScheduleMatchesOneRunBitIdentically) {
 
   options.trials = 400;
   const mc_yield_result straight =
-      monte_carlo_yield(context, options, run_key);
+      testkit::monte_carlo_yield(context, options, run_key);
 
   const std::vector<std::vector<std::size_t>> schedules = {
       {400}, {200, 200}, {1, 399}, {100, 150, 150}, {7, 93, 200, 100}};
@@ -201,7 +201,7 @@ TEST(McEngineResumeTest, ContinuesFromPersistedMoments) {
 
   options.trials = 300;
   const mc_yield_result straight =
-      monte_carlo_yield(context, options, run_key);
+      testkit::monte_carlo_yield(context, options, run_key);
 
   mc_run_state first;
   options.trials = 120;

@@ -5,6 +5,7 @@
 #include "codes/factory.h"
 #include "crossbar/contact_groups.h"
 #include "device/tech_params.h"
+#include "mc_oracles.h"
 #include "yield/analytic_yield.h"
 
 namespace nwdec::yield {
@@ -34,7 +35,7 @@ TEST(MonteCarloYieldTest, WindowModeMatchesAnalyticModel) {
   fixture f;
   const yield_result analytic = analytic_yield(f.design, f.plan);
   rng random(123);
-  const mc_yield_result mc = monte_carlo_yield(
+  const mc_yield_result mc = testkit::monte_carlo_yield(
       f.design, f.plan, trials_of(mc_mode::window, 600), random);
   EXPECT_NEAR(mc.nanowire_yield, analytic.nanowire_yield, 0.02);
   EXPECT_LE(mc.ci.low, analytic.nanowire_yield);
@@ -47,9 +48,9 @@ TEST(MonteCarloYieldTest, OperationalYieldDominatesWindowYield) {
   fixture f;
   rng r1(7);
   rng r2(7);
-  const mc_yield_result window = monte_carlo_yield(
+  const mc_yield_result window = testkit::monte_carlo_yield(
       f.design, f.plan, trials_of(mc_mode::window, 300), r1);
-  const mc_yield_result operational = monte_carlo_yield(
+  const mc_yield_result operational = testkit::monte_carlo_yield(
       f.design, f.plan, trials_of(mc_mode::operational, 300), r2);
   EXPECT_GE(operational.nanowire_yield, window.nanowire_yield - 0.01);
 }
@@ -59,8 +60,10 @@ TEST(MonteCarloYieldTest, DeterministicGivenSeed) {
   rng a(99);
   rng b(99);
   const mc_options options = trials_of(mc_mode::operational, 50);
-  const mc_yield_result ra = monte_carlo_yield(f.design, f.plan, options, a);
-  const mc_yield_result rb = monte_carlo_yield(f.design, f.plan, options, b);
+  const mc_yield_result ra =
+      testkit::monte_carlo_yield(f.design, f.plan, options, a);
+  const mc_yield_result rb =
+      testkit::monte_carlo_yield(f.design, f.plan, options, b);
   EXPECT_DOUBLE_EQ(ra.nanowire_yield, rb.nanowire_yield);
 }
 
@@ -72,7 +75,7 @@ TEST(MonteCarloYieldTest, ZeroVariabilityZeroBandIsPerfect) {
   const decoder::decoder_design design(code, 20, tech);
   const auto plan = crossbar::plan_contact_groups(20, code.size(), tech);
   rng random(5);
-  const mc_yield_result mc = monte_carlo_yield(
+  const mc_yield_result mc = testkit::monte_carlo_yield(
       design, plan, trials_of(mc_mode::operational, 20), random);
   EXPECT_DOUBLE_EQ(mc.nanowire_yield, 1.0);
 }
@@ -84,7 +87,7 @@ TEST(MonteCarloYieldTest, BoundarySamplingConvergesToExpectation) {
   const decoder::decoder_design design(code, 20, tech);
   const auto plan = crossbar::plan_contact_groups(20, code.size(), tech);
   rng random(5);
-  const mc_yield_result mc = monte_carlo_yield(
+  const mc_yield_result mc = testkit::monte_carlo_yield(
       design, plan, trials_of(mc_mode::window, 800), random);
   const double expected = 1.0 - plan.expected_discarded() / 20.0;
   EXPECT_NEAR(mc.nanowire_yield, expected, 0.01);
@@ -94,9 +97,9 @@ TEST(MonteCarloYieldTest, DefectsLowerTheYield) {
   fixture f;
   rng r1(11);
   rng r2(11);
-  const mc_yield_result clean = monte_carlo_yield(
+  const mc_yield_result clean = testkit::monte_carlo_yield(
       f.design, f.plan, trials_of(mc_mode::window, 200), r1);
-  const mc_yield_result defective = monte_carlo_yield(
+  const mc_yield_result defective = testkit::monte_carlo_yield(
       f.design, f.plan,
       trials_of(mc_mode::window, 200, fab::defect_params{0.15, 0.05}), r2);
   EXPECT_LT(defective.nanowire_yield, clean.nanowire_yield - 0.05);
@@ -106,8 +109,8 @@ TEST(MonteCarloYieldTest, InvalidTrialCountRejected) {
   fixture f;
   rng random(1);
   EXPECT_THROW(
-      monte_carlo_yield(f.design, f.plan, trials_of(mc_mode::window, 0),
-                        random),
+      testkit::monte_carlo_yield(f.design, f.plan,
+                                 trials_of(mc_mode::window, 0), random),
       invalid_argument_error);
 }
 

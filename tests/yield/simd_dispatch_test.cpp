@@ -1,18 +1,21 @@
 // End-to-end bit-identity of the runtime SIMD dispatch: a whole Monte-Carlo
 // run must produce byte-equal results whichever kernel path executes it.
-// The scalar path run at block_size 1 is the oracle; every available path
-// is forced in turn and crossed with block sizes, thread counts, both
-// criteria, and the defect channel. Any per-lane rounding or draw-order
-// divergence between the per-ISA kernel translation units shows up here as
-// a hard failure, not a statistical drift.
+// The scalar per-trial path (the test kit's block-1 oracle, run on the
+// forced scalar dispatch path) is the oracle; every available path is
+// forced in turn and crossed with kernel block sizes, the engine's thread
+// counts, both criteria, and the defect channel. Any per-lane rounding or
+// draw-order divergence between the per-ISA kernel translation units
+// shows up here as a hard failure, not a statistical drift.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <string>
 #include <vector>
 
 #include "codes/factory.h"
 #include "crossbar/contact_groups.h"
 #include "device/tech_params.h"
+#include "mc_oracles.h"
 #include "util/cpu.h"
 #include "yield/monte_carlo_yield.h"
 
@@ -63,31 +66,30 @@ TEST(SimdDispatchTest, EveryPathBitIdenticalAcrossTheMatrix) {
         mc_options options;
         options.mode = mode;
         options.trials = 97;  // leaves partial tail blocks at every size
-        options.threads = 1;
-        options.block_size = 1;
         if (with_defects) options.defects = fab::defect_params{0.05, 0.02};
 
         cpu::force_path(cpu::simd_path::scalar);
         const mc_yield_result oracle =
-            monte_carlo_yield(context, options, 0xd15bULL);
+            testkit::monte_carlo_yield_blocked(context, options, 0xd15bULL, 1);
 
         for (const cpu::simd_path path : cpu::available_paths()) {
           cpu::force_path(path);
-          for (const std::size_t block : {16UL, 32UL, 64UL}) {
-            for (const std::size_t threads : {1UL, 4UL}) {
-              options.block_size = block;
-              options.threads = threads;
-              const mc_yield_result got =
-                  monte_carlo_yield(context, options, 0xd15bULL);
-              expect_bit_identical(
-                  oracle, got,
-                  std::string(dc.name) + " path " +
-                      cpu::simd_path_name(path) + " mode " +
-                      std::to_string(static_cast<int>(mode)) + " defects " +
-                      std::to_string(with_defects) + " block " +
-                      std::to_string(block) + " threads " +
-                      std::to_string(threads));
-            }
+          const std::string what =
+              std::string(dc.name) + " path " + cpu::simd_path_name(path) +
+              " mode " + std::to_string(static_cast<int>(mode)) +
+              " defects " + std::to_string(with_defects);
+          for (const std::size_t block : {16UL, 64UL}) {
+            expect_bit_identical(
+                oracle,
+                testkit::monte_carlo_yield_blocked(context, options,
+                                                   0xd15bULL, block),
+                what + " block " + std::to_string(block));
+          }
+          for (const std::size_t threads : {1UL, 4UL}) {
+            options.threads = threads;
+            expect_bit_identical(
+                oracle, testkit::monte_carlo_yield(context, options, 0xd15bULL),
+                what + " engine threads " + std::to_string(threads));
           }
         }
       }
@@ -95,10 +97,46 @@ TEST(SimdDispatchTest, EveryPathBitIdenticalAcrossTheMatrix) {
   }
 }
 
+TEST(SimdDispatchTest, RunTrialBlockMatchesRunTrialAtEveryCount) {
+  // run_trial_block at every count from 1 to 64 -- starting mid-stream, so
+  // trial indices are not block-aligned -- reproduces `count` scalar
+  // run_trial calls on every available path, good count for good count.
+  path_guard restore;
+  const device::technology tech = device::paper_technology();
+  const codes::code code = codes::make_code(codes::code_type::gray, 2, 8);
+  const decoder::decoder_design design(code, 20, tech);
+  const auto plan = crossbar::plan_contact_groups(20, code.size(), tech);
+  const trial_context context(design, plan);
+  const fab::defect_params defects{0.05, 0.02};
+  const std::uint64_t run_key = 0xb10cULL;
+  const std::uint64_t first = 5;
+  for (const mc_mode mode : {mc_mode::window, mc_mode::operational}) {
+    cpu::force_path(cpu::simd_path::scalar);
+    std::vector<std::uint32_t> oracle(64);
+    trial_scratch scratch;
+    for (std::size_t t = 0; t < oracle.size(); ++t) {
+      rng stream = rng::from_counter(run_key, first + t);
+      oracle[t] = static_cast<std::uint32_t>(context.run_trial(
+          stream, scratch, mode, tech.sigma_vt, &defects));
+    }
+    for (const cpu::simd_path path : cpu::available_paths()) {
+      cpu::force_path(path);
+      for (std::size_t count = 1; count <= oracle.size(); ++count) {
+        std::vector<std::uint32_t> good(count, 0);
+        context.run_trial_block(run_key, first, count, scratch, mode,
+                                tech.sigma_vt, &defects, good.data());
+        EXPECT_TRUE(std::equal(good.begin(), good.end(), oracle.begin()))
+            << cpu::simd_path_name(path) << " mode "
+            << static_cast<int>(mode) << " count " << count;
+      }
+    }
+  }
+}
+
 TEST(SimdDispatchTest, ScalarOracleItselfIsPathInvariant) {
-  // block_size 1 never touches the lane kernels, but its deviates ride the
-  // same dispatched bulk conversions -- so even the oracle must not move
-  // when the path does.
+  // The scalar oracle never touches the lane kernels, but its deviates
+  // ride the same dispatched bulk conversions -- so even the oracle must
+  // not move when the path does.
   path_guard restore;
   const device::technology tech = device::paper_technology();
   const codes::code code = codes::make_code(codes::code_type::gray, 2, 8);
@@ -108,14 +146,14 @@ TEST(SimdDispatchTest, ScalarOracleItselfIsPathInvariant) {
   mc_options options;
   options.mode = mc_mode::operational;
   options.trials = 60;
-  options.threads = 1;
-  options.block_size = 1;
   options.defects = fab::defect_params{0.05, 0.02};
   cpu::force_path(cpu::simd_path::scalar);
-  const mc_yield_result oracle = monte_carlo_yield(context, options, 7);
+  const mc_yield_result oracle =
+      testkit::monte_carlo_yield_blocked(context, options, 7, 1);
   for (const cpu::simd_path path : cpu::available_paths()) {
     cpu::force_path(path);
-    const mc_yield_result got = monte_carlo_yield(context, options, 7);
+    const mc_yield_result got =
+        testkit::monte_carlo_yield_blocked(context, options, 7, 1);
     expect_bit_identical(oracle, got, cpu::simd_path_name(path));
   }
 }

@@ -15,7 +15,6 @@
 #include <fstream>
 #include <iostream>
 #include <string>
-#include <thread>
 #include <vector>
 
 #include "codes/code_space.h"
@@ -24,6 +23,7 @@
 #include "service/sweep_service.h"
 #include "util/cli.h"
 #include "util/error.h"
+#include "util/parallel.h"
 #include "util/table.h"
 
 namespace {
@@ -114,9 +114,6 @@ int main(int argc, char** argv) {
   cli.add_double("bridge", 0.0, "bridged-nanowire probability (defect axis)");
   cli.add_int("raw-kb", 16, "raw crossbar capacity [kB]");
   cli.add_int("threads", 0, "worker threads (0 = hardware)");
-  cli.add_int("mc-block", 0,
-              "trials per batched-kernel block (0 = kernel default, 1 = "
-              "scalar per-trial path; results are bit-identical either way)");
   cli.add_int("seed", 2009,
               "base seed (each point's MC stream is a pure function of the "
               "seed and the point itself)");
@@ -180,7 +177,6 @@ int main(int argc, char** argv) {
     options.mode = cli.get_string("mode") == "window"
                        ? yield::mc_mode::window
                        : yield::mc_mode::operational;
-    options.mc_block_size = get_size(cli, "mc-block");
 
     const std::string cache_path = cli.get_string("cache");
     const double min_half_width = cli.get_double("min-half-width");
@@ -200,7 +196,6 @@ int main(int argc, char** argv) {
       service_options.threads = options.threads;
       service_options.seed = options.seed;
       service_options.mode = options.mode;
-      service_options.mc_block_size = options.mc_block_size;
       service::sweep_service service(spec, tech, service_options);
       // A stale or incompatible cache file must not block the sweep:
       // recovery quarantines it, the sweep runs cold, and the checkpoint
@@ -233,10 +228,8 @@ int main(int argc, char** argv) {
       // Synthesize the engine-report shape so every output path (table,
       // JSON, CSV) is shared with the direct run.
       report.mode = service_options.mode;
-      report.threads = options.threads != 0
-                           ? options.threads
-                           : std::max<std::size_t>(
-                                 1, std::thread::hardware_concurrency());
+      report.threads =
+          options.threads != 0 ? options.threads : thread_budget();
       report.seed = options.seed;
       report.raw_bits = spec.raw_bits;
       report.default_nanowires = spec.nanowires_per_half_cave;
