@@ -4,6 +4,9 @@
 // short-code designs (HC-4, TC-6) absorb almost all of the damage, which
 // is exactly the mechanism behind the rising left flank of Fig. 7.
 #include <iostream>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "bench_util.h"
 #include "core/experiments.h"
@@ -24,18 +27,21 @@ int main(int argc, char** argv) {
   for (const double band : {0.0, 6.0, 10.0, 14.0, 20.0, 30.0}) {
     device::technology tech = device::paper_technology();
     tech.boundary_band_nm = band;
-    const core::design_explorer explorer(crossbar::crossbar_spec{}, tech);
+    const core::sweep_engine engine(crossbar::crossbar_spec{}, tech);
+    const auto results =
+        engine
+            .run(core::sweep_axes{.designs = {{code_type::hot, 2, 4},
+                                              {code_type::tree, 2, 6},
+                                              {code_type::tree, 2, 10},
+                                              {code_type::balanced_gray, 2,
+                                               10}}})
+            .entries;
 
-    table.add_row(
-        {format_fixed(band, 0),
-         format_percent(
-             explorer.evaluate({code_type::hot, 2, 4}).crosspoint_yield),
-         format_percent(
-             explorer.evaluate({code_type::tree, 2, 6}).crosspoint_yield),
-         format_percent(
-             explorer.evaluate({code_type::tree, 2, 10}).crosspoint_yield),
-         format_percent(explorer.evaluate({code_type::balanced_gray, 2, 10})
-                            .crosspoint_yield)});
+    std::vector<std::string> row = {format_fixed(band, 0)};
+    for (const core::sweep_engine_entry& entry : results) {
+      row.push_back(format_percent(entry.evaluation.crosspoint_yield));
+    }
+    table.add_row(std::move(row));
   }
   table.print(std::cout);
   std::cout << "\nconclusion: single-group designs (Omega >= N) are immune "

@@ -1,5 +1,5 @@
-// Microbenchmark of the unified design-space engine: the pre-refactor
-// per-point exploration loop (rebuild code, decoder matrices, contact plan,
+// Microbenchmark of the unified design-space engine: an uncached per-point
+// loop (the "legacy" rows: rebuild code, decoder matrices, contact plan,
 // and Monte-Carlo context for every grid point, evaluate sequentially) vs
 // core::sweep_engine (keyed caches + design points sharded across workers).
 //
@@ -7,9 +7,9 @@
 //   * the paper's Figs. 7/8 grid (17 distinct designs -- caching saves the
 //     shared contact plans, and a second warm-cache pass shows the
 //     sweep-service steady state where nothing is rebuilt at all);
-//   * a (code x sigma) ablation grid, where the pre-refactor layer could
-//     only scan sigma by rebuilding every design per point (the old
-//     ablation_sigma loop) while the engine builds each design once.
+//   * a (code x sigma) ablation grid, where the uncached loop scans sigma
+//     by rebuilding every design per point while the engine builds each
+//     design once.
 //
 // Correctness gates: the engine's analytic figures must equal the legacy
 // loop's to the bit, and the engine must be bit-identical across runs.
@@ -44,8 +44,9 @@ double seconds_since(std::chrono::steady_clock::time_point start) {
       .count();
 }
 
-// The pre-refactor evaluation path: everything rebuilt per point, nothing
-// shared between points (the seed design_explorer::evaluate body).
+// The uncached per-point evaluation path: everything rebuilt per point,
+// nothing shared between points -- the baseline the engine is timed and
+// checked against.
 core::design_evaluation legacy_evaluate(const crossbar::crossbar_spec& spec,
                                         const device::technology& tech,
                                         const core::design_point& point,
@@ -201,9 +202,9 @@ int main(int argc, char** argv) {
             << (bit_identical ? "bit-identical" : "DIVERGED (BUG)") << "\n";
 
   // ------------------------------------------ (code x sigma) ablation grid
-  // The pre-refactor layer could only scan sigma by retuning the technology
-  // and rebuilding every design per point (the old ablation_sigma loop);
-  // the engine applies sigma as an override on one cached design.
+  // The uncached loop scans sigma by retuning the technology and
+  // rebuilding every design per point; the engine applies sigma as an
+  // override on one cached design.
   const std::vector<double> sigmas = {0.025, 0.04, 0.05, 0.065, 0.08, 0.1};
   const std::vector<core::design_point> families = {
       {codes::code_type::tree, 2, 8},
@@ -216,9 +217,9 @@ int main(int argc, char** argv) {
             << "\n\n";
 
   // Both variants spend ~99% of every point inside the same Monte-Carlo
-  // engine, so a single timed pass mostly measures scheduler noise (the
-  // PR 3 artifact recorded a phantom 0.97x "regression" exactly that way).
-  // Best-of-two timing keeps the comparison about the per-point work.
+  // engine, so a single timed pass mostly measures scheduler noise (it can
+  // show a phantom ~0.97x "regression"). Best-of-two timing keeps the
+  // comparison about the per-point work.
   std::vector<core::design_evaluation> legacy_sigma;
   double legacy_sigma_seconds = 0.0;
   for (int repeat = 0; repeat < 2; ++repeat) {

@@ -35,12 +35,12 @@ int main(int argc, char** argv) {
                                  std::size_t{256}}) {
       crossbar::crossbar_spec spec;
       spec.raw_bits = kb * 1024 * 8;
-      const core::design_explorer explorer(spec, tech);
+      const core::sweep_engine engine(spec, tech);
       const auto results =
-          core::run_yield_experiment(explorer, core::yield_grid());
+          engine.run(core::sweep_axes{.designs = core::yield_grid()}).entries;
       const auto& bgc =
           core::find_evaluation(results, code_type::balanced_gray, 10);
-      const auto& best = core::design_explorer::best_bit_area(results);
+      const auto& best = core::best_bit_area(results);
       const auto side = static_cast<std::size_t>(
           std::ceil(std::sqrt(static_cast<double>(spec.raw_bits))));
       table.add_row({format_count(kb), format_count(side),
@@ -58,17 +58,16 @@ int main(int argc, char** argv) {
                       "bit area [nm^2]"});
     double best_area = 1e18;
     std::size_t best_n = 0;
-    for (const std::size_t n : {std::size_t{8}, std::size_t{12},
-                                std::size_t{16}, std::size_t{20},
-                                std::size_t{28}, std::size_t{40},
-                                std::size_t{56}}) {
-      crossbar::crossbar_spec spec;
-      spec.nanowires_per_half_cave = n;
-      const core::design_explorer explorer(spec, tech);
-      const auto e =
-          explorer.evaluate({code_type::balanced_gray, 2, 10});
+    // One 16 kB engine; the cave depth is the grid's nanowire axis.
+    const core::sweep_engine engine(crossbar::crossbar_spec{}, tech);
+    const core::sweep_engine_report report = engine.run(core::sweep_axes{
+        .designs = {{code_type::balanced_gray, 2, 10}},
+        .nanowires = {8, 12, 16, 20, 28, 40, 56}});
+    for (const core::sweep_engine_entry& entry : report.entries) {
+      const std::size_t n = entry.request.nanowires;
+      const core::design_evaluation& e = entry.evaluation;
       const auto caves = (static_cast<std::size_t>(std::ceil(std::sqrt(
-                              static_cast<double>(spec.raw_bits)))) +
+                              static_cast<double>(report.raw_bits)))) +
                           2 * n - 1) /
                          (2 * n);
       table.add_row({format_count(n), format_count(caves),

@@ -27,9 +27,9 @@ int main(int argc, char** argv) {
   crossbar::crossbar_spec spec;
   spec.nanowires_per_half_cave =
       static_cast<std::size_t>(cli.get_int("nanowires"));
-  const core::design_explorer explorer(spec, device::paper_technology());
-  const std::size_t trials = static_cast<std::size_t>(cli.get_int("trials"));
-  const std::uint64_t seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  const core::sweep_engine engine(spec, device::paper_technology());
+  core::sweep_engine_options options;
+  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
 
   bench::banner("Figure 7", "crossbar yield (addressable crosspoints) vs "
                             "code length");
@@ -37,14 +37,21 @@ int main(int argc, char** argv) {
             << spec.nanowires_per_half_cave << ", sigma_T = 50 mV\n\n";
 
   const auto results =
-      core::run_yield_experiment(explorer, core::fig7_grid(), trials, seed);
+      engine
+          .run(core::sweep_axes{
+                   .designs = core::fig7_grid(),
+                   .mc_trials =
+                       static_cast<std::size_t>(cli.get_int("trials"))},
+               options)
+          .entries;
 
   text_table table({"code", "M", "Omega", "groups", "E[discard]",
                     "Y (nanowire)", "Y^2 (crosspoint)", "MC Y (operational)"});
   auto csv = bench::open_csv(
       cli.get_string("csv"),
       {"code", "M", "omega", "nanowire_yield", "crosspoint_yield", "mc_yield"});
-  for (const core::design_evaluation& e : results) {
+  for (const core::sweep_engine_entry& entry : results) {
+    const core::design_evaluation& e = entry.evaluation;
     table.add_row(
         {codes::code_type_name(e.point.type), format_count(e.point.length),
          format_count(e.code_space), format_count(e.contact_groups),

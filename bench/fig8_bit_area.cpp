@@ -25,21 +25,22 @@ int main(int argc, char** argv) {
   crossbar::crossbar_spec spec;
   spec.nanowires_per_half_cave =
       static_cast<std::size_t>(cli.get_int("nanowires"));
-  const core::design_explorer explorer(spec, device::paper_technology());
+  const core::sweep_engine engine(spec, device::paper_technology());
 
   bench::banner("Figure 8", "average area per functional bit");
   std::cout << "platform: " << spec.raw_bits
             << " raw crosspoints, P_N = 10 nm, P_L = 32 nm\n\n";
 
   const auto results =
-      core::run_yield_experiment(explorer, core::yield_grid());
+      engine.run(core::sweep_axes{.designs = core::yield_grid()}).entries;
 
   text_table table({"code", "M", "Y^2", "total area [um^2]",
                     "bit area [nm^2]"});
   auto csv = bench::open_csv(cli.get_string("csv"),
                              {"code", "M", "crosspoint_yield",
                               "total_area_nm2", "bit_area_nm2"});
-  for (const core::design_evaluation& e : results) {
+  for (const core::sweep_engine_entry& entry : results) {
+    const core::design_evaluation& e = entry.evaluation;
     table.add_row({codes::code_type_name(e.point.type),
                    format_count(e.point.length),
                    format_percent(e.crosspoint_yield),
@@ -64,7 +65,7 @@ int main(int argc, char** argv) {
   const double bgc_saving =
       100.0 * (1.0 - get(code_type::balanced_gray, 8).bit_area_nm2 /
                          get(code_type::tree, 8).bit_area_nm2);
-  const auto& best = core::design_explorer::best_bit_area(results);
+  const auto& best = core::best_bit_area(results);
 
   std::cout << "\npaper-vs-measured:\n"
             << "  TC bit-area saving 6 -> 10 [%]:  "

@@ -8,7 +8,7 @@
 #include <iostream>
 
 #include "codes/factory.h"
-#include "core/design_explorer.h"
+#include "core/sweep_engine.h"
 #include "decoder/decoder_design.h"
 #include "device/tech_params.h"
 #include "util/table.h"
@@ -48,10 +48,14 @@ int main() {
 
   // 3. Evaluate the full crossbar design point: yield, effective density
   //    and bit area on the 16 kB platform.
-  const core::design_explorer explorer(crossbar::crossbar_spec{}, tech);
+  const core::sweep_engine engine(crossbar::crossbar_spec{}, tech);
   const core::design_evaluation result =
-      explorer.evaluate({code.type, code.radix, code.length},
-                        /*mc_trials=*/50);
+      engine
+          .run(core::sweep_axes{.designs = {{code.type, code.radix,
+                                             code.length}},
+                                .mc_trials = 50})
+          .entries.front()
+          .evaluation;
 
   std::cout << "crossbar evaluation (" << result.point.label() << "):\n"
             << "  nanowire yield Y      = "

@@ -34,12 +34,18 @@ int main(int argc, char** argv) {
 
   // The grid runs through core::sweep_engine: design points sharded across
   // workers, one cached design/plan/context per point family.
-  const core::design_explorer explorer(spec, tech);
-  const auto results = core::run_yield_experiment(
-      explorer, core::yield_grid(),
-      static_cast<std::size_t>(cli.get_int("trials")),
-      static_cast<std::uint64_t>(cli.get_int("seed")),
-      static_cast<std::size_t>(cli.get_int("threads")));
+  const core::sweep_engine engine(spec, tech);
+  core::sweep_engine_options options;
+  options.seed = static_cast<std::uint64_t>(cli.get_int("seed"));
+  options.threads = static_cast<std::size_t>(cli.get_int("threads"));
+  const auto results =
+      engine
+          .run(core::sweep_axes{
+                   .designs = core::yield_grid(),
+                   .mc_trials =
+                       static_cast<std::size_t>(cli.get_int("trials"))},
+               options)
+          .entries;
 
   std::cout << "design space on a " << cli.get_int("raw-kb")
             << " kB crossbar, N = " << spec.nanowires_per_half_cave
@@ -47,7 +53,8 @@ int main(int argc, char** argv) {
 
   text_table table({"design", "Omega", "Phi", "Y^2", "eff. capacity [kB]",
                     "bit area [nm^2]"});
-  for (const core::design_evaluation& e : results) {
+  for (const core::sweep_engine_entry& entry : results) {
+    const core::design_evaluation& e = entry.evaluation;
     table.add_row({e.point.label(), format_count(e.code_space),
                    format_count(e.fabrication_steps),
                    format_percent(e.crosspoint_yield),
@@ -56,8 +63,7 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
 
-  const core::design_evaluation& best =
-      core::design_explorer::best_bit_area(results);
+  const core::design_evaluation& best = core::best_bit_area(results);
   std::cout << "\nrecommended decoder: " << best.point.label() << " ("
             << format_fixed(best.bit_area_nm2, 1) << " nm^2/bit, "
             << format_percent(best.crosspoint_yield)

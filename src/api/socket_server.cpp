@@ -1,18 +1,14 @@
 #include "api/socket_server.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
 
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <thread>
 
 #include "api/transport_metrics.h"
-#include "util/error.h"
 #include "util/log.h"
 #include "util/net.h"
 
@@ -20,55 +16,12 @@ namespace nwdec::api {
 
 socket_server::socket_server(std::uint16_t port, int backlog,
                              tcp_limits limits)
-    : limits_(limits) {
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw error("socket_server: cannot create socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_ANY);
-  address.sin_port = htons(port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-             sizeof(address)) != 0) {
-    ::close(listen_fd_);
-    throw error("socket_server: cannot bind port " + std::to_string(port) +
-                " (" + std::strerror(errno) + ")");
-  }
-  if (::listen(listen_fd_, backlog) != 0) {
-    ::close(listen_fd_);
-    throw error("socket_server: cannot listen on port " +
-                std::to_string(port));
-  }
-  socklen_t length = sizeof(address);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-                    &length) != 0) {
-    ::close(listen_fd_);
-    throw error("socket_server: cannot read the bound port");
-  }
-  port_ = ntohs(address.sin_port);
-
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    ::close(listen_fd_);
-    throw error("socket_server: cannot create the shutdown pipe");
-  }
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-}
-
-socket_server::~socket_server() {
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_ >= 0) ::close(wake_read_);
-  if (wake_write_ >= 0) ::close(wake_write_);
-}
+    : listener_(port, backlog, "socket_server"), limits_(limits) {}
 
 void socket_server::shutdown() {
   // One byte on the wake pipe; write() is async-signal-safe, so signal
   // handlers can do exactly this through shutdown_fd().
-  const char wake = 'x';
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_, &wake, 1);
+  listener_.wake();
 }
 
 connection_reader::status connection_reader::next(bool partial) {
@@ -115,16 +68,8 @@ void connection_reader::request_done() {
 
 int socket_server::serve(dispatcher& dispatch) {
   for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      break;
-    }
-    if ((fds[1].revents & POLLIN) != 0) break;  // shutdown requested
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
+    const int client = listener_.accept();
+    if (client < 0) break;  // shutdown requested
     {
       // Register before the thread exists so serve()'s drain barrier can
       // never miss a connection that is about to start.

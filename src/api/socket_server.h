@@ -3,18 +3,19 @@
 // HTTP/1.1 http_transport).
 //
 // The chassis owns everything that is protocol-independent and easy to
-// get wrong twice: bind/listen (IPv4 any, SO_REUSEADDR, ephemeral-port
-// reporting), the accept loop with its async-signal-safe shutdown wake
-// pipe, connection registration and accept-shedding at max_connections,
-// one detached thread per connection with deregister-before-close
-// bookkeeping, the connection wait (connection_reader: the idle and
-// read-deadline clocks around poll), and graceful drain (close the
-// dispatcher's event streams, half-close, bounded wait, cancel the jobs
-// still running when the window expires, force-close). A protocol front
-// end derives and implements exactly two things: serve_connection() --
-// the per-connection framing and answer loop -- and shed_response() --
-// the bytes an over-cap connection is answered with before closing (an
-// NDJSON error line or an HTTP 503, each in its own protocol).
+// get wrong twice: the listener (net::listener: bind/listen on IPv4 any
+// with SO_REUSEADDR, ephemeral-port reporting, the accept wait with its
+// async-signal-safe shutdown wake pipe), connection registration and
+// accept-shedding at max_connections, one detached thread per connection
+// with deregister-before-close bookkeeping, the connection wait
+// (connection_reader: the idle and read-deadline clocks around poll), and
+// graceful drain (close the dispatcher's event streams, half-close,
+// bounded wait, cancel the jobs still running when the window expires,
+// force-close). A protocol front end derives and implements exactly two
+// things: serve_connection() -- the per-connection framing and answer
+// loop -- and shed_response() -- the bytes an over-cap connection is
+// answered with before closing (an NDJSON error line or an HTTP 503, each
+// in its own protocol).
 //
 // The per-connection resource bounds (tcp_limits) are shared verbatim
 // across protocols: the same --idle-timeout / --read-deadline /
@@ -32,6 +33,7 @@
 #include <vector>
 
 #include "api/transport.h"
+#include "util/net.h"
 
 namespace nwdec::api {
 
@@ -96,12 +98,11 @@ class socket_server : public transport {
   /// port 0 picks an ephemeral port. Throws nwdec::error on any socket
   /// failure.
   socket_server(std::uint16_t port, int backlog, tcp_limits limits);
-  ~socket_server() override;
   socket_server(const socket_server&) = delete;
   socket_server& operator=(const socket_server&) = delete;
 
   /// The bound port (the ephemeral pick when constructed with 0).
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Accept loop; returns 0 after shutdown() completes it. When shutdown
   /// begins, the dispatcher's event streams are closed (subscription
@@ -119,7 +120,7 @@ class socket_server : public transport {
   /// Write end of the shutdown wake pipe: write(shutdown_fd(), "x", 1)
   /// is the async-signal-safe equivalent of shutdown() for use inside a
   /// signal handler.
-  int shutdown_fd() const { return wake_write_; }
+  int shutdown_fd() const { return listener_.wake_fd(); }
 
   /// True once shutdown has been observed by serve() (the HTTP gateway
   /// closes every response from then on).
@@ -139,10 +140,7 @@ class socket_server : public transport {
   virtual std::string shed_response() const = 0;
 
  private:
-  int listen_fd_ = -1;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
-  std::uint16_t port_ = 0;
+  net::listener listener_;
   tcp_limits limits_;
   std::atomic<bool> draining_{false};
 

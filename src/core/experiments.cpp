@@ -1,5 +1,6 @@
 #include "core/experiments.h"
 
+#include <algorithm>
 #include <cmath>
 
 #include "codes/factory.h"
@@ -97,23 +98,28 @@ std::vector<design_point> fig7_grid() {
   return grid;
 }
 
-std::vector<design_evaluation> run_yield_experiment(
-    const design_explorer& explorer, const std::vector<design_point>& grid,
-    std::size_t mc_trials, std::uint64_t seed, std::size_t threads) {
-  return explorer.sweep(grid, mc_trials, seed, threads);
-}
-
 const design_evaluation& find_evaluation(
-    const std::vector<design_evaluation>& evaluations, codes::code_type type,
+    const std::vector<sweep_engine_entry>& entries, codes::code_type type,
     std::size_t length) {
-  for (const design_evaluation& evaluation : evaluations) {
-    if (evaluation.point.type == type && evaluation.point.length == length) {
-      return evaluation;
-    }
+  for (const sweep_engine_entry& entry : entries) {
+    const design_point& point = entry.evaluation.point;
+    if (point.type == type && point.length == length) return entry.evaluation;
   }
   throw not_found_error("design point " +
                         codes::code_type_name(type) + "-" +
                         std::to_string(length) + " not in the result set");
+}
+
+const design_evaluation& best_bit_area(
+    const std::vector<sweep_engine_entry>& entries) {
+  NWDEC_EXPECTS(!entries.empty(), "nothing to rank");
+  return std::min_element(entries.begin(), entries.end(),
+                          [](const sweep_engine_entry& a,
+                             const sweep_engine_entry& b) {
+                            return a.evaluation.bit_area_nm2 <
+                                   b.evaluation.bit_area_nm2;
+                          })
+      ->evaluation;
 }
 
 }  // namespace nwdec::core

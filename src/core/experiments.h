@@ -1,7 +1,8 @@
 // Experiment definitions shared by the benchmark harnesses and the
-// integration tests: one runner per figure of the paper's evaluation
-// (Sec. 6.2), each returning the same series the figure plots, plus the
-// paper's reported values for side-by-side comparison.
+// integration tests: the runners of Figs. 5 and 6, the design grids of
+// Figs. 7 and 8 (evaluated by core::sweep_engine), helpers that read an
+// engine report's entries, and the paper's reported values for
+// side-by-side comparison.
 #pragma once
 
 #include <cstddef>
@@ -9,8 +10,8 @@
 #include <vector>
 
 #include "codes/code_space.h"
-#include "core/design_explorer.h"
 #include "core/design_point.h"
+#include "core/sweep_engine.h"
 #include "util/matrix.h"
 
 namespace nwdec::core {
@@ -53,15 +54,6 @@ std::vector<design_point> yield_grid();
 /// Fig. 7's own series: TC and BGC at {6, 8, 10}; HC and AHC at {4, 6, 8}.
 std::vector<design_point> fig7_grid();
 
-/// Runs a grid through the explorer's sweep engine (Fig. 7 yield and Fig. 8
-/// bit area both read from the returned evaluations). `threads` shards the
-/// design points across workers (0 = all cores); results are bit-identical
-/// for any value.
-std::vector<design_evaluation> run_yield_experiment(
-    const design_explorer& explorer, const std::vector<design_point>& grid,
-    std::size_t mc_trials = 0, std::uint64_t seed = 1,
-    std::size_t threads = 0);
-
 // --------------------------------------------------- paper reference data
 /// The quantitative claims of Sec. 6.2, used by the harnesses to print
 /// paper-vs-measured tables and by the integration tests as loose oracles.
@@ -84,10 +76,16 @@ struct paper_claims {
   static constexpr double best_ahc_bit_area_nm2 = 175.0;
 };
 
-/// Finds the evaluation of (type, length) in a result set; throws
-/// not_found_error when the grid did not contain it.
+/// Finds the evaluation of (type, length) among an engine report's
+/// entries; throws not_found_error when the grid did not contain it.
 const design_evaluation& find_evaluation(
-    const std::vector<design_evaluation>& evaluations, codes::code_type type,
+    const std::vector<sweep_engine_entry>& entries, codes::code_type type,
     std::size_t length);
+
+/// The evaluation with the smallest bit area (the paper's headline
+/// optimization target); throws invalid_argument_error when `entries` is
+/// empty.
+const design_evaluation& best_bit_area(
+    const std::vector<sweep_engine_entry>& entries);
 
 }  // namespace nwdec::core

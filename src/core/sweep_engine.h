@@ -1,12 +1,17 @@
-// sweep_engine: the unified multithreaded design-space engine.
+// sweep_engine: the library's one design-evaluation entry.
 //
 // The paper's headline study (Sec. 6) ranks decoder designs across code
-// families and word lengths; the ROADMAP extends it to addressability-limit
-// scans over the half-cave size N (Chee & Ling) and process-variability
-// ablations. All of those are one shape of computation: a grid over
-// (code_type, radix, full_length, nanowires, sigma_vt, defects, trials),
-// each point needing the same expensive intermediates. The engine evaluates
-// such grids once, in parallel, without deriving anything twice:
+// families and word lengths; addressability-limit scans over the half-cave
+// size N (Chee & Ling) and process-variability ablations extend it. All of
+// those are one shape of computation: a grid over (code_type, radix,
+// full_length, nanowires, sigma_vt, defects, trials), each point needing
+// the same expensive intermediates. The figure harnesses, ablations,
+// examples, the nwdec_sweep CLI and the sweep service all evaluate design
+// points through run() -- one engine per platform, so a harness that
+// evaluates points one at a time still shares one design cache;
+// core/experiments.h holds the figure grids and the readers of a report's
+// entries (find_evaluation, best_bit_area). The engine evaluates each grid
+// once, in parallel, without deriving anything twice:
 //
 //   * Design points are sharded across workers by util/parallel's
 //     parallel_for (one atomic cursor); the thread budget (options.threads,
@@ -83,13 +88,14 @@ struct sweep_request {
 
 /// Axes of a rectangular grid; expand() yields the cartesian product with
 /// designs as the slowest axis, then nanowires, then sigmas, then defects.
-/// Empty optional axes mean "platform default".
+/// Empty optional axes mean "platform default". Every member has a default
+/// initializer, so a designated initializer names only the axes it sets.
 struct sweep_axes {
-  std::vector<design_point> designs;
-  std::vector<std::size_t> nanowires;  ///< empty = {spec default}
-  std::vector<double> sigmas_vt;       ///< empty = {tech default}
-  std::vector<std::optional<fab::defect_params>> defects;  ///< empty = {none}
-  std::size_t mc_trials = 0;           ///< applied to every point
+  std::vector<design_point> designs{};
+  std::vector<std::size_t> nanowires{};  ///< empty = {spec default}
+  std::vector<double> sigmas_vt{};       ///< empty = {tech default}
+  std::vector<std::optional<fab::defect_params>> defects{};  ///< empty = {none}
+  std::size_t mc_trials = 0;             ///< applied to every point
 
   std::vector<sweep_request> expand() const;
 };

@@ -189,7 +189,7 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
         if (entry_serves(*hit, resolved, target)) {
           (resolved.mc_trials == 0 ? counters.hits_cheap : counters.hits_mc)
               .inc();
-          response.points[k] = {*hit, point_source::cached, true};
+          response.points[k] = {*hit, point_source::cached};
           ++response.cached;
           continue;
         }
@@ -358,7 +358,7 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
     for (std::size_t k = 0; k < queries.size(); ++k) {
       if (!pending[k].has_value()) continue;
       const slot_ref& ref = *pending[k];
-      response.points[k] = {plans[ref.plan].produced, ref.source, false};
+      response.points[k] = {plans[ref.plan].produced, ref.source};
       if (ref.source == point_source::topped_up) {
         ++response.topped_up;
         ++topped_up_total_;
@@ -427,7 +427,7 @@ std::optional<sweep_response> sweep_service::try_serve_cached(
     NWDEC_EXPECTS(hit != nullptr,
                   "a peeked entry vanished under the service mutex");
     (resolved.mc_trials == 0 ? counters.hits_cheap : counters.hits_mc).inc();
-    response.points.push_back({*hit, point_source::cached, true});
+    response.points.push_back({*hit, point_source::cached});
     ++response.cached;
   }
   return response;

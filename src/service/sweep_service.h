@@ -113,7 +113,6 @@ struct eval_trace {
 struct sweep_response_entry {
   stored_result result;
   point_source source = point_source::computed;
-  bool cached = false;  ///< source == cached (kept for terse call sites)
 };
 
 /// A fully answered sweep request, in request order.

@@ -9,6 +9,10 @@
 
 #include <cerrno>
 #include <chrono>
+#include <cstring>
+#include <string>
+
+#include "util/error.h"
 
 namespace nwdec::net {
 
@@ -107,6 +111,67 @@ long read_some(int fd, void* buffer, std::size_t size, int timeout_ms) {
     if (n < 0 && errno == EINTR) continue;
     return static_cast<long>(n);
   }
+}
+
+listener::listener(std::uint16_t port, int backlog, const char* owner) {
+  const std::string prefix = std::string(owner) + ": ";
+  fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
+  if (fd_ < 0) throw error(prefix + "cannot create socket");
+  const int one = 1;
+  ::setsockopt(fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
+
+  sockaddr_in address{};
+  address.sin_family = AF_INET;
+  address.sin_addr.s_addr = htonl(INADDR_ANY);
+  address.sin_port = htons(port);
+  const auto fail = [&](const std::string& what) {
+    ::close(fd_);
+    throw error(prefix + what);
+  };
+  if (::bind(fd_, reinterpret_cast<const sockaddr*>(&address),
+             sizeof(address)) != 0) {
+    fail("cannot bind port " + std::to_string(port) + " (" +
+         std::strerror(errno) + ")");
+  }
+  if (::listen(fd_, backlog) != 0) {
+    fail("cannot listen on port " + std::to_string(port));
+  }
+  socklen_t length = sizeof(address);
+  if (::getsockname(fd_, reinterpret_cast<sockaddr*>(&address), &length) !=
+      0) {
+    fail("cannot read the bound port");
+  }
+  port_ = ntohs(address.sin_port);
+
+  int pipe_fds[2] = {-1, -1};
+  if (::pipe(pipe_fds) != 0) fail("cannot create the wake pipe");
+  wake_read_ = pipe_fds[0];
+  wake_write_ = pipe_fds[1];
+}
+
+listener::~listener() {
+  ::close(fd_);
+  ::close(wake_read_);
+  ::close(wake_write_);
+}
+
+int listener::accept() const {
+  for (;;) {
+    pollfd fds[2] = {{fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
+    if (::poll(fds, 2, -1) < 0) {
+      if (errno == EINTR) continue;
+      return -1;
+    }
+    if ((fds[1].revents & POLLIN) != 0) return -1;  // woken
+    if ((fds[0].revents & POLLIN) == 0) continue;
+    const int client = ::accept(fd_, nullptr, nullptr);
+    if (client >= 0) return client;
+  }
+}
+
+void listener::wake() const {
+  const char byte = 'x';
+  [[maybe_unused]] const ssize_t n = ::write(wake_write_, &byte, 1);
 }
 
 }  // namespace nwdec::net

@@ -10,7 +10,7 @@
 // payloads are pure functions of (config, request) by the determinism
 // contract -- the chaos only shuffles wrappers and provenance counters,
 // which is why the comparisons strip to the "result" member.
-#include "api/chaos_transport.h"
+#include "client/chaos_transport.h"
 
 #include <gtest/gtest.h>
 
@@ -26,8 +26,8 @@
 #include <vector>
 
 #include "api/dispatch.h"
-#include "api/resilient_client.h"
 #include "api/tcp_transport.h"
+#include "client/resilient_client.h"
 #include "service/sweep_service.h"
 #include "util/failpoint.h"
 #include "util/json.h"

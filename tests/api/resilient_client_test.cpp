@@ -3,12 +3,10 @@
 // non-idempotent submissions alone (a lost response hides whether the
 // work landed), mint request_ids when asked, and honor the error-code
 // classification end to end.
-#include "api/resilient_client.h"
+#include "client/resilient_client.h"
 
 #include <gtest/gtest.h>
 
-#include <netinet/in.h>
-#include <sys/socket.h>
 #include <unistd.h>
 
 #include <chrono>
@@ -42,22 +40,10 @@ class fake_server {
   using behavior = std::function<void(int fd)>;
 
   explicit fake_server(std::vector<behavior> script)
-      : script_(std::move(script)) {
-    listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-    sockaddr_in address{};
-    address.sin_family = AF_INET;
-    address.sin_addr.s_addr = htonl(INADDR_ANY);
-    address.sin_port = 0;
-    EXPECT_EQ(::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-                     sizeof(address)),
-              0);
-    EXPECT_EQ(::listen(listen_fd_, 8), 0);
-    socklen_t length = sizeof(address);
-    ::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address), &length);
-    port_ = ntohs(address.sin_port);
+      : listener_(0, 8, "fake_server"), script_(std::move(script)) {
     thread_ = std::thread([this] {
       for (const behavior& serve : script_) {
-        const int client = ::accept(listen_fd_, nullptr, nullptr);
+        const int client = listener_.accept();
         if (client < 0) return;
         serve(client);
         ::close(client);
@@ -66,14 +52,11 @@ class fake_server {
   }
 
   ~fake_server() {
-    // close() does NOT wake a blocked accept() on Linux; shutdown() does
-    // (the accept returns EINVAL and the thread exits).
-    ::shutdown(listen_fd_, SHUT_RDWR);
+    listener_.wake();
     thread_.join();
-    ::close(listen_fd_);
   }
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   /// Read one request line, close without answering (the eaten-response
   /// failure every retry design exists for).
@@ -95,8 +78,7 @@ class fake_server {
   }
 
  private:
-  int listen_fd_ = -1;
-  std::uint16_t port_ = 0;
+  net::listener listener_;
   std::vector<behavior> script_;
   std::thread thread_;
 };

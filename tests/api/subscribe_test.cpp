@@ -12,8 +12,8 @@
 #include <vector>
 
 #include "api/dispatch.h"
-#include "api/resilient_client.h"
 #include "api/tcp_transport.h"
+#include "client/resilient_client.h"
 #include "service/sweep_service.h"
 #include "util/failpoint.h"
 #include "util/json.h"

@@ -94,14 +94,35 @@ TEST(GridTest, YieldGridCoversTheFigureSeries) {
   EXPECT_EQ(f7.size(), 2u * 3u + 2u * 3u);
 }
 
+TEST(GridTest, DesignLabelsAreReadable) {
+  EXPECT_EQ((design_point{codes::code_type::balanced_gray, 2, 10}).label(),
+            "BGC-10");
+  EXPECT_EQ((design_point{codes::code_type::gray, 3, 8}).label(), "GC3-8");
+}
+
 TEST(FindEvaluationTest, FindsAndThrows) {
-  const design_explorer explorer(crossbar::crossbar_spec{},
-                                 device::paper_technology());
-  const auto results = run_yield_experiment(
-      explorer, {{codes::code_type::tree, 2, 6}});
+  const sweep_engine engine(crossbar::crossbar_spec{},
+                            device::paper_technology());
+  const auto results =
+      engine.run(sweep_axes{.designs = {{codes::code_type::tree, 2, 6}}})
+          .entries;
   EXPECT_NO_THROW(find_evaluation(results, codes::code_type::tree, 6));
   EXPECT_THROW(find_evaluation(results, codes::code_type::gray, 6),
                not_found_error);
+}
+
+TEST(BestBitAreaTest, PicksTheMinimum) {
+  const sweep_engine engine(crossbar::crossbar_spec{},
+                            device::paper_technology());
+  const auto results =
+      engine
+          .run(sweep_axes{.designs = {{codes::code_type::tree, 2, 6},
+                                      {codes::code_type::balanced_gray, 2, 10},
+                                      {codes::code_type::tree, 2, 8}}})
+          .entries;
+  EXPECT_EQ(best_bit_area(results).point.type,
+            codes::code_type::balanced_gray);
+  EXPECT_THROW(best_bit_area({}), invalid_argument_error);
 }
 
 }  // namespace

@@ -13,7 +13,6 @@
 #include <stdexcept>
 
 #include "codes/factory.h"
-#include "core/design_explorer.h"
 #include "crossbar/area_model.h"
 #include "crossbar/contact_groups.h"
 #include "decoder/decoder_design.h"
@@ -56,6 +55,40 @@ void expect_entries_identical(const sweep_engine_entry& a,
   EXPECT_EQ(a.evaluation.mc_nanowire_yield, b.evaluation.mc_nanowire_yield);
   EXPECT_EQ(a.evaluation.mc_ci_low, b.evaluation.mc_ci_low);
   EXPECT_EQ(a.evaluation.mc_ci_high, b.evaluation.mc_ci_high);
+}
+
+design_evaluation evaluate(const sweep_engine& engine,
+                           const design_point& design,
+                           std::size_t mc_trials = 0,
+                           std::uint64_t seed = 1) {
+  sweep_engine_options options;
+  options.seed = seed;
+  return engine.run(sweep_axes{.designs = {design}, .mc_trials = mc_trials},
+                    options)
+      .entries.front()
+      .evaluation;
+}
+
+TEST(SweepEngineTest, EvaluationIsInternallyConsistent) {
+  const design_evaluation e =
+      evaluate(make_engine(), {codes::code_type::gray, 2, 8});
+  EXPECT_EQ(e.code_space, 16u);
+  EXPECT_EQ(e.fabrication_steps, 40u);  // 2N for binary, N = 20
+  EXPECT_NEAR(e.crosspoint_yield, e.nanowire_yield * e.nanowire_yield, 1e-12);
+  EXPECT_NEAR(e.effective_bits, e.crosspoint_yield * 131072.0, 1e-6);
+  EXPECT_NEAR(e.bit_area_nm2, e.total_area_nm2 / e.effective_bits, 1e-9);
+  EXPECT_FALSE(e.has_monte_carlo);
+}
+
+TEST(SweepEngineTest, MonteCarloAttachmentIsSane) {
+  const design_evaluation e =
+      evaluate(make_engine(), {codes::code_type::balanced_gray, 2, 8}, 60, 9);
+  ASSERT_TRUE(e.has_monte_carlo);
+  EXPECT_GT(e.mc_nanowire_yield, 0.0);
+  EXPECT_LE(e.mc_ci_low, e.mc_nanowire_yield);
+  EXPECT_GE(e.mc_ci_high, e.mc_nanowire_yield);
+  // Operational Monte Carlo should not fall far below the analytic model.
+  EXPECT_GT(e.mc_nanowire_yield, e.nanowire_yield - 0.05);
 }
 
 TEST(SweepEngineTest, BitIdenticalAcrossThreadCounts) {
@@ -115,7 +148,7 @@ TEST(SweepEngineTest, InvariantUnderGridReordering) {
 
 TEST(SweepEngineTest, McStreamsDependOnlyOnSeedAndPoint) {
   // Attaching or omitting Monte-Carlo on one point must not shift the
-  // streams of the others (the design_explorer::sweep seeding fix).
+  // streams of the others.
   const sweep_engine engine = make_engine();
   sweep_request analytic_head;
   analytic_head.design = {codes::code_type::tree, 2, 6};
@@ -209,32 +242,6 @@ TEST(SweepEngineTest, AxesExpandInDocumentedOrder) {
     EXPECT_EQ(request.mc_trials, 9u);
   }
   EXPECT_THROW(sweep_axes{}.expand(), invalid_argument_error);
-}
-
-TEST(SweepEngineTest, MatchesDesignExplorer) {
-  // design_explorer rides on the engine; both public paths must agree.
-  const design_explorer explorer(crossbar::crossbar_spec{},
-                                 device::paper_technology());
-  const sweep_engine engine = make_engine();
-  const std::vector<design_point> points = {
-      {codes::code_type::hot, 2, 6}, {codes::code_type::arranged_hot, 2, 8}};
-  const std::vector<design_evaluation> via_explorer =
-      explorer.sweep(points, 60, 5);
-
-  std::vector<sweep_request> requests(points.size());
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    requests[k].design = points[k];
-    requests[k].mc_trials = 60;
-  }
-  sweep_engine_options options;
-  options.seed = 5;
-  const sweep_engine_report direct = engine.run(requests, options);
-  for (std::size_t k = 0; k < points.size(); ++k) {
-    EXPECT_EQ(via_explorer[k].nanowire_yield,
-              direct.entries[k].evaluation.nanowire_yield);
-    EXPECT_EQ(via_explorer[k].mc_nanowire_yield,
-              direct.entries[k].evaluation.mc_nanowire_yield);
-  }
 }
 
 TEST(SweepEngineTest, BadGridPointsFailWithActionableDiagnostics) {

@@ -14,16 +14,14 @@ namespace {
 class PaperClaims : public ::testing::Test {
  protected:
   static void SetUpTestSuite() {
-    explorer_ = new design_explorer(crossbar::crossbar_spec{},
-                                    device::paper_technology());
-    results_ = new std::vector<design_evaluation>(
-        run_yield_experiment(*explorer_, yield_grid()));
+    const sweep_engine engine(crossbar::crossbar_spec{},
+                              device::paper_technology());
+    results_ = new std::vector<sweep_engine_entry>(
+        engine.run(sweep_axes{.designs = yield_grid()}).entries);
   }
   static void TearDownTestSuite() {
     delete results_;
-    delete explorer_;
     results_ = nullptr;
-    explorer_ = nullptr;
   }
 
   static const design_evaluation& get(codes::code_type type,
@@ -31,12 +29,10 @@ class PaperClaims : public ::testing::Test {
     return find_evaluation(*results_, type, length);
   }
 
-  static design_explorer* explorer_;
-  static std::vector<design_evaluation>* results_;
+  static std::vector<sweep_engine_entry>* results_;
 };
 
-design_explorer* PaperClaims::explorer_ = nullptr;
-std::vector<design_evaluation>* PaperClaims::results_ = nullptr;
+std::vector<sweep_engine_entry>* PaperClaims::results_ = nullptr;
 
 TEST_F(PaperClaims, YieldRisesWithCodeLengthForTreeFamily) {
   for (const codes::code_type type :
@@ -121,13 +117,14 @@ TEST_F(PaperClaims, OptimizedCodesReachSub250nm2BitArea) {
 TEST_F(PaperClaims, BestDesignIsBalancedGray10FollowedByArrangedHot) {
   // "the smallest bit area is 169 nm^2 for the balanced Gray code,
   // followed by the arranged hot code".
-  const design_evaluation& best = design_explorer::best_bit_area(*results_);
+  const design_evaluation& best = best_bit_area(*results_);
   EXPECT_EQ(best.point.type, codes::code_type::balanced_gray);
   EXPECT_EQ(best.point.length, 10u);
 
   double best_hot_family = 1e18;
   codes::code_type best_hot_type = codes::code_type::hot;
-  for (const design_evaluation& e : *results_) {
+  for (const sweep_engine_entry& entry : *results_) {
+    const design_evaluation& e = entry.evaluation;
     if ((e.point.type == codes::code_type::hot ||
          e.point.type == codes::code_type::arranged_hot) &&
         e.bit_area_nm2 < best_hot_family) {

@@ -69,7 +69,7 @@ TEST(SweepServiceTest, ServesRepeatsFromTheStore) {
   const sweep_response warm = service.evaluate(grid);
   EXPECT_EQ(warm.computed, 0u);
   EXPECT_EQ(warm.cached, 2u);
-  EXPECT_TRUE(warm.points[0].cached);
+  EXPECT_EQ(warm.points[0].source, point_source::cached);
   EXPECT_EQ(to_json(warm), to_json(cold));  // byte-identical payloads
 }
 
@@ -106,8 +106,8 @@ TEST(SweepServiceTest, MixedHitMissRequestsKeepRequestOrder) {
       service.evaluate({point(0.04, 60), point(0.05, 60), point(0.06, 60)});
   EXPECT_EQ(response.cached, 1u);
   EXPECT_EQ(response.computed, 2u);
-  EXPECT_FALSE(response.points[0].cached);
-  EXPECT_TRUE(response.points[1].cached);
+  EXPECT_EQ(response.points[0].source, point_source::computed);
+  EXPECT_EQ(response.points[1].source, point_source::cached);
   EXPECT_EQ(response.points[0].result.request.sigma_vt, 0.04);
   EXPECT_EQ(response.points[1].result.request.sigma_vt, 0.05);
   EXPECT_EQ(response.points[2].result.request.sigma_vt, 0.06);

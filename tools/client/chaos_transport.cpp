@@ -1,7 +1,5 @@
-#include "api/chaos_transport.h"
+#include "client/chaos_transport.h"
 
-#include <arpa/inet.h>
-#include <netinet/in.h>
 #include <poll.h>
 #include <sys/socket.h>
 #include <unistd.h>
@@ -9,23 +7,15 @@
 #include <algorithm>
 #include <cerrno>
 #include <chrono>
-#include <cstring>
 #include <utility>
 
-#include "util/error.h"
 #include "util/failpoint.h"
 #include "util/net.h"
+#include "util/rng.h"
 
 namespace nwdec::api {
 
 namespace {
-
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// True when the (armed) failpoint fires -- the error action becomes a
 /// "inject the fault here" signal instead of an exception.
@@ -41,48 +31,11 @@ bool failpoint_fires(const char* name) {
 }  // namespace
 
 chaos_transport::chaos_transport(chaos_options options)
-    : options_(std::move(options)) {
-  upstream_port_.store(options_.upstream_port, std::memory_order_relaxed);
-  listen_fd_ = ::socket(AF_INET, SOCK_STREAM, 0);
-  if (listen_fd_ < 0) throw error("chaos_transport: cannot create socket");
-  const int one = 1;
-  ::setsockopt(listen_fd_, SOL_SOCKET, SO_REUSEADDR, &one, sizeof(one));
-  sockaddr_in address{};
-  address.sin_family = AF_INET;
-  address.sin_addr.s_addr = htonl(INADDR_ANY);
-  address.sin_port = htons(options_.listen_port);
-  if (::bind(listen_fd_, reinterpret_cast<const sockaddr*>(&address),
-             sizeof(address)) != 0) {
-    ::close(listen_fd_);
-    throw error("chaos_transport: cannot bind port " +
-                std::to_string(options_.listen_port));
-  }
-  if (::listen(listen_fd_, 64) != 0) {
-    ::close(listen_fd_);
-    throw error("chaos_transport: cannot listen");
-  }
-  socklen_t length = sizeof(address);
-  if (::getsockname(listen_fd_, reinterpret_cast<sockaddr*>(&address),
-                    &length) != 0) {
-    ::close(listen_fd_);
-    throw error("chaos_transport: cannot read the bound port");
-  }
-  port_ = ntohs(address.sin_port);
-  int pipe_fds[2] = {-1, -1};
-  if (::pipe(pipe_fds) != 0) {
-    ::close(listen_fd_);
-    throw error("chaos_transport: cannot create the wake pipe");
-  }
-  wake_read_ = pipe_fds[0];
-  wake_write_ = pipe_fds[1];
-}
+    : options_(std::move(options)),
+      listener_(options_.listen_port, 64, "chaos_transport"),
+      upstream_port_(options_.upstream_port) {}
 
-chaos_transport::~chaos_transport() {
-  stop();
-  if (listen_fd_ >= 0) ::close(listen_fd_);
-  if (wake_read_ >= 0) ::close(wake_read_);
-  if (wake_write_ >= 0) ::close(wake_write_);
-}
+chaos_transport::~chaos_transport() { stop(); }
 
 void chaos_transport::start() {
   if (accept_thread_.joinable()) return;
@@ -92,8 +45,7 @@ void chaos_transport::start() {
 void chaos_transport::stop() {
   if (!accept_thread_.joinable()) return;
   stopping_.store(true, std::memory_order_relaxed);
-  const char wake = 'x';
-  [[maybe_unused]] const ssize_t n = ::write(wake_write_, &wake, 1);
+  listener_.wake();
   accept_thread_.join();
   std::unique_lock<std::mutex> lock(mutex_);
   for (const int fd : fds_) ::shutdown(fd, SHUT_RDWR);
@@ -112,16 +64,8 @@ chaos_stats chaos_transport::stats() const {
 
 void chaos_transport::accept_loop() {
   for (;;) {
-    pollfd fds[2] = {{listen_fd_, POLLIN, 0}, {wake_read_, POLLIN, 0}};
-    const int ready = ::poll(fds, 2, -1);
-    if (ready < 0) {
-      if (errno == EINTR) continue;
-      return;
-    }
-    if ((fds[1].revents & POLLIN) != 0) return;  // stop requested
-    if ((fds[0].revents & POLLIN) == 0) continue;
-    const int client = ::accept(listen_fd_, nullptr, nullptr);
-    if (client < 0) continue;
+    const int client = listener_.accept();
+    if (client < 0) return;  // stop requested
     const std::uint64_t index =
         connections_.fetch_add(1, std::memory_order_relaxed);
     {
@@ -129,7 +73,7 @@ void chaos_transport::accept_loop() {
       ++active_;
     }
     std::thread([this, client, index] {
-      pump(client, mix64(options_.seed ^ (index + 1)));
+      pump(client, rng::counter_seed(options_.seed ^ (index + 1), 0));
       const std::lock_guard<std::mutex> lock(mutex_);
       --active_;
       idle_cv_.notify_all();
@@ -161,16 +105,19 @@ void chaos_transport::deregister(int client, int upstream) {
 }
 
 void chaos_transport::pump(int client, std::uint64_t connection_seed) {
-  std::uint64_t rng = connection_seed;
+  // The fault-decision stream: one splitmix64 step per draw.
+  std::uint64_t stream = connection_seed;
+  const auto draw = [&stream] {
+    stream = rng::counter_seed(stream, 0);
+    return stream;
+  };
   const auto chance = [&](double probability) {
     if (probability <= 0.0) return false;
-    rng = mix64(rng);
-    return (static_cast<double>(rng >> 11) /
+    return (static_cast<double>(draw() >> 11) /
             static_cast<double>(1ULL << 53)) < probability;
   };
   const auto uniform_ms = [&](int max_ms) {
-    rng = mix64(rng);
-    return static_cast<int>(rng % static_cast<std::uint64_t>(max_ms + 1));
+    return static_cast<int>(draw() % static_cast<std::uint64_t>(max_ms + 1));
   };
 
   if (failpoint_fires("chaos.connect.upstream")) {
@@ -219,8 +166,7 @@ void chaos_transport::pump(int client, std::uint64_t connection_seed) {
     if (chance(options_.truncate_probability)) {
       // A prefix leaks through, then the wire dies: the hardest case
       // for a peer's framing (partial line, then reset).
-      rng = mix64(rng);
-      length = static_cast<std::size_t>(rng % (length + 1));
+      length = static_cast<std::size_t>(draw() % (length + 1));
       truncations_.fetch_add(1, std::memory_order_relaxed);
       if (length > 0) net::send_all(to, chunk, length);
       deregister(client, upstream);

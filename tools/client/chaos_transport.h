@@ -1,4 +1,5 @@
-// api::chaos_transport: a deterministic network-fault-injection proxy.
+// api::chaos_transport: a deterministic network-fault-injection proxy
+// (part of the client kit, not the server library).
 //
 // An in-process TCP proxy that sits between a client and an
 // nwdec_service listener and misbehaves on purpose: injected latency,
@@ -9,11 +10,11 @@
 // idempotent-retry ladder converges: every job completes byte-identical
 // with zero duplicate engine runs, no matter where the proxy cuts.
 //
-// Determinism: all fault decisions come from a splitmix64 stream seeded
-// with (options.seed, connection index), so a failing test case replays
-// exactly from its seed. For placing a fault at one precise moment the
-// proxy also crosses util/failpoint markers -- arm them with the
-// standard grammar (skip counts included):
+// Determinism: all fault decisions come from a splitmix64 stream
+// (rng::counter_seed steps) seeded with (options.seed, connection index),
+// so a failing test case replays exactly from its seed. For placing a
+// fault at one precise moment the proxy also crosses util/failpoint
+// markers -- arm them with the standard grammar (skip counts included):
 //
 //   * "chaos.connect.upstream" -- fire `error` to refuse the upstream
 //     connect (the client sees an immediate close, as if the daemon
@@ -36,6 +37,8 @@
 #include <string>
 #include <thread>
 #include <vector>
+
+#include "util/net.h"
 
 namespace nwdec::api {
 
@@ -74,7 +77,7 @@ class chaos_transport {
   chaos_transport(const chaos_transport&) = delete;
   chaos_transport& operator=(const chaos_transport&) = delete;
 
-  std::uint16_t port() const { return port_; }
+  std::uint16_t port() const { return listener_.port(); }
 
   void start();
   /// Stops accepting, resets every live proxied connection, and joins
@@ -99,11 +102,8 @@ class chaos_transport {
   void deregister(int client, int upstream);
 
   chaos_options options_;
-  std::uint16_t port_ = 0;
-  int listen_fd_ = -1;
-  int wake_read_ = -1;
-  int wake_write_ = -1;
-  std::atomic<std::uint16_t> upstream_port_{0};
+  net::listener listener_;
+  std::atomic<std::uint16_t> upstream_port_;
   std::atomic<bool> stopping_{false};
 
   std::atomic<std::uint64_t> connections_{0};

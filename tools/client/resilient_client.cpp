@@ -1,4 +1,4 @@
-#include "api/resilient_client.h"
+#include "client/resilient_client.h"
 
 #include <unistd.h>
 
@@ -9,18 +9,11 @@
 
 #include "util/json.h"
 #include "util/net.h"
+#include "util/rng.h"
 
 namespace nwdec::api {
 
 namespace {
-
-// splitmix64: tiny, seedable, and plenty for jitter and id minting.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
 
 /// The parsed facts retry decisions need from a request line.
 struct line_shape {
@@ -88,7 +81,7 @@ bool resilient_client::idempotent(const std::string& line) {
 }
 
 resilient_client::resilient_client(client_options options)
-    : options_(std::move(options)), rng_state_(mix64(options_.seed)) {
+    : options_(std::move(options)), rng_state_(rng::counter_seed(options_.seed, 0)) {
   if (options_.max_attempts < 1) options_.max_attempts = 1;
 }
 
@@ -114,7 +107,7 @@ bool resilient_client::ensure_connected(std::string* error) {
 }
 
 std::uint64_t resilient_client::next_random() {
-  rng_state_ = mix64(rng_state_);
+  rng_state_ = rng::counter_seed(rng_state_, 0);
   return rng_state_;
 }
 
@@ -323,7 +316,8 @@ client_result resilient_client::call(const std::string& request_line) {
       char hex[17];
       std::snprintf(hex, sizeof(hex), "%016llx",
                     static_cast<unsigned long long>(
-                        mix64(options_.seed ^ ++mint_counter_)));
+                        rng::counter_seed(options_.seed ^ ++mint_counter_,
+                                          0)));
       minted_id_ = options_.request_id_prefix + "-" + hex;
       // Splice the key in right after the opening brace; the request is
       // an object (shape.parsed checked), so the text form starts at '{'.

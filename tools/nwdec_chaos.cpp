@@ -6,15 +6,14 @@
 // SIGINT/SIGTERM, then reports what it did as a "stopped" log record.
 //
 //   $ nwdec_service --listen 4750 &
-//   $ nwdec_chaos --listen 4751 --upstream-port 4750 \
-//       --reset-probability 0.05 --max-latency-ms 20 &
+//   $ nwdec_chaos --listen 4751 --upstream-port 4750 --reset-probability 0.05 &
 //   $ nwdec_client --port 4751 --auto-request-id < requests.ndjson
 #include <unistd.h>
 
 #include <csignal>
 #include <string>
 
-#include "api/chaos_transport.h"
+#include "client/chaos_transport.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/failpoint.h"
@@ -47,9 +46,9 @@ int main(int argc, char** argv) {
   cli.add_int("max-write-bytes", 0,
               "forward in pieces of at most this many bytes (0 = whole "
               "chunks); exercises short-read reassembly");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
+
     failpoints::arm_from_env();
     const std::int64_t upstream = cli.get_int("upstream-port");
     if (upstream < 0 || upstream > 65535) {

@@ -19,8 +19,8 @@
 // connection drops, daemon drains, and slow-consumer evictions.
 // --from N resumes a previous stream after sequence number N.
 //
-//   $ job=$(echo '{"id":1,"kind":"sweep","async":true,...}' \
-//       | nwdec_client --port 4750 | jq .job)
+//   $ echo '{"id":1,"kind":"sweep","async":true,...}' > submit.ndjson
+//   $ job=$(nwdec_client --port 4750 < submit.ndjson | jq .job)
 //   $ nwdec_client --port 4750 --subscribe "$job"
 //
 // Exit status: 0 when every request got a response line (inspect each
@@ -30,7 +30,7 @@
 #include <iostream>
 #include <string>
 
-#include "api/resilient_client.h"
+#include "client/resilient_client.h"
 #include "util/cli.h"
 #include "util/error.h"
 #include "util/log.h"
@@ -63,9 +63,9 @@ int main(int argc, char** argv) {
               "event instead of reading requests");
   cli.add_int("from", 0,
               "with --subscribe: resume after this sequence number");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
+
     const std::int64_t port = cli.get_int("port");
     if (port < 0 || port > 65535) {
       throw invalid_argument_error("--port is required (0..65535)");

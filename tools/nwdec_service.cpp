@@ -186,9 +186,9 @@ int main(int argc, char** argv) {
   cli.add_int("slow-ms", 1000,
               "log jobs slower than this many milliseconds as "
               "'slow_request' warn records (0 = never)");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
+
     // Logging first: everything after this line reports through the
     // structured logger (stderr by default).
     logging::set_min_level(logging::parse_level(cli.get_string("log-level")));

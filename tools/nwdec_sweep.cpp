@@ -134,9 +134,9 @@ int main(int argc, char** argv) {
                  "persisted (mean, trials, M2) instead of recomputed");
   cli.add_flag("quick",
                "smoke preset for CI: the paper's Figs. 7/8 grid, 150 trials");
-  if (!cli.parse(argc, argv)) return 0;
-
   try {
+    if (!cli.parse(argc, argv)) return 0;
+
     core::sweep_axes axes;
     if (cli.get_flag("quick")) {
       axes.designs = core::yield_grid();
