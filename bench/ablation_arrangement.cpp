@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   cli_parser cli("ablation_arrangement",
                  "A1 -- arrangement strategies vs decoder costs");
   cli.add_int("samples", 2000, "random arrangements sampled per space");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const device::technology tech = device::paper_technology();
   bench::banner("Ablation A1", "arrangement strategy quality");

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
                  "A5 -- yield under broken/bridged nanowires");
   cli.add_int("trials", 150, "Monte-Carlo trials per point");
   cli.add_int("seed", 5, "Monte-Carlo seed");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const device::technology tech = device::paper_technology();
   const std::size_t trials = static_cast<std::size_t>(cli.get_int("trials"));

@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   cli_parser cli("ablation_geometry",
                  "A4 -- yield vs contact-boundary uncertainty");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   bench::banner("Ablation A4", "boundary-band width vs short/long codes");
 

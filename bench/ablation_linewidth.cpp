@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
                  "A6 -- geometric line-width noise vs yield");
   cli.add_int("trials", 120, "Monte-Carlo trials per point");
   cli.add_int("geometry-trials", 400, "caves sampled for defect rates");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const device::technology tech = device::paper_technology();
   const std::size_t trials = static_cast<std::size_t>(cli.get_int("trials"));

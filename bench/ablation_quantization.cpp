@@ -18,7 +18,7 @@ int main(int argc, char** argv) {
 
   cli_parser cli("ablation_quantization",
                  "A7 -- mask sharing vs margin (extension)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const device::technology tech = device::paper_technology();
   // Quaternary tree code: four levels pack the dose menu densest, so it

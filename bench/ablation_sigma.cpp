@@ -22,7 +22,7 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 0, "engine worker threads (0 = hardware)");
   cli.add_int("seed", 2009, "Monte-Carlo seed");
   cli.add_string("json", "", "optional sweep-engine JSON output path");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   bench::banner("Ablation A2", "crosspoint yield vs sigma_T");
 

@@ -15,7 +15,7 @@ int main(int argc, char** argv) {
 
   cli_parser cli("ablation_window",
                  "A3 -- yield vs addressability-window fraction");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   bench::banner("Ablation A3", "crosspoint yield vs window fraction");
 

@@ -80,7 +80,7 @@ int main(int argc, char** argv) {
   cli.add_int("seed", 2009, "base seed");
   cli.add_string("json", "BENCH_service.json", "JSON record ('' = off)");
   cli.add_flag("quick", "CI smoke preset: 150 trials, 8000-trial cap");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   try {
     const bool quick = cli.get_flag("quick");
@@ -185,13 +185,13 @@ int main(int argc, char** argv) {
     text_table table({"design", "MC Y", "CI half-width", "trials used",
                       "of cap", "saved"});
     for (const service::sweep_response_entry& entry : adaptive_run.points) {
-      const core::design_evaluation& e = entry.result.evaluation;
-      const std::size_t used = entry.result.mc_trials_used;
+      const core::design_evaluation& e = entry.result->evaluation;
+      const std::size_t used = entry.result->mc_trials_used;
       used_total += used;
       const double half_width = wilson_half_width(
           e.mc_nanowire_yield * static_cast<double>(used),
           static_cast<double>(used));
-      table.add_row({entry.result.request.design.label(),
+      table.add_row({entry.result->request.design.label(),
                      format_percent(e.mc_nanowire_yield),
                      format_fixed(half_width, 4), format_count(used),
                      format_count(adaptive_cap),

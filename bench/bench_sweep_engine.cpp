@@ -114,7 +114,7 @@ int main(int argc, char** argv) {
   cli.add_string("json", "BENCH_sweep_engine.json",
                  "JSON output path ('' = off)");
   cli.add_flag("quick", "smoke mode: few trials, for CI");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const std::size_t trials = cli.get_flag("quick")
                                  ? 60

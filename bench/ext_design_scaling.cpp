@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   using codes::code_type;
 
   cli_parser cli("ext_design_scaling", "capacity and cave-depth sweeps");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const device::technology tech = device::paper_technology();
 

@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
 
   cli_parser cli("ext_multivalued", "higher logic levels end to end");
   cli.add_int("nanowires", 20, "nanowires per half cave (N)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const std::size_t n = static_cast<std::size_t>(cli.get_int("nanowires"));
   const device::technology tech = device::paper_technology();

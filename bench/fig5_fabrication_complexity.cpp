@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
   cli.add_int("nanowires", 10, "nanowires per half cave (N)");
   cli.add_int("length", 4, "full code length M (reflected)");
   cli.add_string("csv", "", "optional CSV output path");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const std::size_t n = static_cast<std::size_t>(cli.get_int("nanowires"));
   const std::size_t m = static_cast<std::size_t>(cli.get_int("length"));

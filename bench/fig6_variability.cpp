@@ -19,7 +19,7 @@ int main(int argc, char** argv) {
                  "Fig. 6 -- decoder variability surfaces per code type");
   cli.add_int("nanowires", 20, "nanowires per half cave (N)");
   cli.add_string("csv", "", "optional CSV output path (full surfaces)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const std::size_t n = static_cast<std::size_t>(cli.get_int("nanowires"));
   bench::banner("Figure 6", "variability matrix sqrt(Sigma/sigma^2)");

@@ -20,7 +20,7 @@ int main(int argc, char** argv) {
   cli_parser cli("fig8_bit_area", "Fig. 8 -- area per functional bit");
   cli.add_int("nanowires", 20, "nanowires per half cave (N)");
   cli.add_string("csv", "", "optional CSV output path");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   crossbar::crossbar_spec spec;
   spec.nanowires_per_half_cave =

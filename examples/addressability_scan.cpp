@@ -30,7 +30,7 @@ int main(int argc, char** argv) {
   cli.add_int("threads", 0, "worker threads (0 = hardware)");
   cli.add_int("seed", 2009, "base seed");
   cli.add_string("json", "SCAN_addressability.json", "JSON artifact ('' = off)");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   core::sweep_axes axes;
   axes.designs = {{codes::code_type::balanced_gray, 2, 10},

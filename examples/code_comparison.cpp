@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.add_int("nanowires", 20, "nanowires per half cave (N)");
   cli.add_int("length", 8, "full code length M");
   cli.add_int("radix", 2, "logic values n");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const std::size_t n = static_cast<std::size_t>(cli.get_int("nanowires"));
   const std::size_t m = static_cast<std::size_t>(cli.get_int("length"));

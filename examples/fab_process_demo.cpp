@@ -23,7 +23,7 @@ int main(int argc, char** argv) {
   cli.add_int("nanowires", 6, "nanowires (spacers) per half cave");
   cli.add_int("length", 4, "full code length M");
   cli.add_int("seed", 1, "fabrication seed");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const codes::code code = codes::make_code(
       codes::parse_code_type(cli.get_string("code")), 2,

@@ -51,7 +51,7 @@ int main(int argc, char** argv) {
   cli_parser cli("memory_demo", "store a message in a fabricated crossbar");
   cli.add_string("message", "hello, crossbar world", "text to store");
   cli.add_int("seed", 2009, "fabrication seed");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   const device::technology tech = device::paper_technology();
   const codes::code code =

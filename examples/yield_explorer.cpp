@@ -21,7 +21,7 @@ int main(int argc, char** argv) {
   cli.add_int("trials", 0, "Monte-Carlo trials per point (0 = analytic only)");
   cli.add_int("threads", 0, "sweep-engine worker threads (0 = hardware)");
   cli.add_int("seed", 1, "Monte-Carlo base seed");
-  if (!cli.parse(argc, argv)) return 0;
+  if (const auto status = cli.parse_main(argc, argv)) return *status;
 
   device::technology tech = device::paper_technology();
   tech.sigma_vt = cli.get_double("sigma-mv") * 1e-3;

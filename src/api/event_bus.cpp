@@ -31,7 +31,7 @@ struct bus_metrics {
 };
 
 std::string render_line(std::uint64_t job, std::uint64_t seq,
-                        const std::string& type, const std::string& body) {
+                        const char* type, const std::string& body) {
   // The envelope members are fixed tokens and integers; `body` is a
   // pre-rendered ","-led fragment (api::json_fragment), so plain
   // concatenation is already well-formed JSON.
@@ -83,10 +83,11 @@ std::uint64_t event_bus::publish_lazy(std::uint64_t job, const char* type,
 
 const std::string& event_bus::line_of(std::uint64_t job,
                                       stored_event& event) {
-  if (event.line.empty()) {
-    const std::string body = event.lazy ? event.lazy() : "";
+  if (!event.rendered) {
+    const std::string body = event.lazy ? event.lazy() : std::move(event.line);
     event.line = render_line(job, event.seq, event.type, body);
     event.lazy = nullptr;
+    event.rendered = true;
   }
   return event.line;
 }
@@ -129,6 +130,9 @@ std::uint64_t event_bus::publish_locked(std::uint64_t job, const char* type,
                                         bool terminal, std::string body,
                                         body_fn lazy) {
   stream& entry = streams_[job];
+  // A sweep's whole lifecycle (queued, running, terminal) in one
+  // allocation: retained streams outnumber live ones by far.
+  if (entry.history.empty()) entry.history.reserve(3);
   stored_event event;
   event.seq = entry.next_seq++;
   event.type = type;
@@ -148,14 +152,17 @@ std::uint64_t event_bus::publish_locked(std::uint64_t job, const char* type,
     live.push_back(subscriber);
   }
 
-  if (lazy != nullptr && live.empty()) {
-    // Nobody is watching: keep the body unrendered. A terminal `done`
-    // body is the full result payload, so jobs without subscribers never
-    // pay the render; the first replay that needs it materializes it.
+  if (live.empty()) {
+    // Nobody is watching: keep the body unrendered (`line` holds the
+    // fragment until line_of renders it). A terminal `done` body is the
+    // full result payload, so jobs without subscribers never pay the
+    // render; the first replay that needs it materializes it.
     event.lazy = std::move(lazy);
+    event.line = std::move(body);
   } else {
     if (lazy != nullptr) body = lazy();
     event.line = render_line(job, event.seq, type, body);
+    event.rendered = true;
   }
 
   if (!live.empty()) {

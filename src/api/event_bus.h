@@ -111,7 +111,10 @@ class event_bus {
 
   /// Appends one event to the job's stream (creating the stream on first
   /// publish) and fans it out to live subscribers. Returns the assigned
-  /// sequence number.
+  /// sequence number. `type` must be a string with static storage (an
+  /// event-name literal): the stream keeps the pointer. The body is
+  /// rendered into the wire line now iff someone is subscribed, else on
+  /// first replay.
   std::uint64_t publish(std::uint64_t job, const char* type, bool terminal,
                         std::string body);
   /// publish() with a deferred body: rendered now iff someone is
@@ -142,10 +145,13 @@ class event_bus {
  private:
   struct stored_event {
     std::uint64_t seq = 0;
-    std::string type;
+    const char* type = "";  ///< a string literal (publish's `type`)
     bool terminal = false;
-    std::string line;  ///< full wire line once rendered
-    body_fn lazy;      ///< set until the body is rendered
+    bool rendered = false;  ///< `line` is the full wire line
+    /// The wire line once rendered; until then the eager body fragment
+    /// (empty for a lazy body).
+    std::string line;
+    body_fn lazy;  ///< set until the body is rendered
   };
   struct stream {
     std::uint64_t next_seq = 1;

@@ -606,6 +606,9 @@ void job_scheduler::finish(job_record& job, job_state state) {
       break;
     default: break;
   }
+  // A finished job answers from its result or its error; retention keeps
+  // the record, so drop the request grid it no longer needs.
+  std::vector<service::point_query>().swap(job.queries);
   job.trace.total_seconds =
       seconds_between(job.submit_time, std::chrono::steady_clock::now());
   metrics.duration_seconds.observe(job.trace.total_seconds);

@@ -1,5 +1,7 @@
 #include "decoder/addressing.h"
 
+#include <algorithm>
+
 #include "decoder/addressing_kernels.h"
 #include "util/cpu.h"
 #include "util/error.h"
@@ -49,43 +51,52 @@ const kernel_table& active_kernel_table() {
 
 }  // namespace detail
 
-bool conducts_block(const double* gate_voltages, const double* realized_lanes,
-                    std::size_t lane_stride, std::size_t regions,
-                    std::size_t lanes, std::uint8_t* conducts_out) {
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "conducts_block needs at least one region and one lane");
-  NWDEC_EXPECTS(lane_stride >= lanes,
-                "lane stride must cover every lane");
-  return detail::active_kernel_table().conducts_block(
-      gate_voltages, realized_lanes, lane_stride, regions, lanes,
-      conducts_out);
+void below_level_masks(const double* z_lanes, std::size_t lane_stride,
+                       std::size_t rows, std::size_t lanes,
+                       const double* offsets, const double* scales,
+                       const double* levels, std::size_t level_count,
+                       std::uint64_t* out) {
+  NWDEC_EXPECTS(lanes >= 1, "below_level_masks needs at least one lane");
+  NWDEC_EXPECTS(lane_stride >= lanes, "lane stride must cover every lane");
+  detail::active_kernel_table().below_level_masks(
+      z_lanes, lane_stride, rows, lanes, offsets, scales, levels,
+      level_count, out);
 }
 
-bool addressable_block(const double* gate_voltages, const double* vt_lanes,
-                       std::size_t lane_stride, std::size_t regions,
-                       std::size_t lanes, std::size_t self,
-                       const std::size_t* members, std::size_t member_count,
-                       double* margin_scratch, double* addressable_out) {
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "addressable_block needs at least one region and one lane");
-  return detail::active_kernel_table().addressable_block(
-      gate_voltages, vt_lanes, lane_stride, regions, lanes, self, members,
-      member_count, margin_scratch, addressable_out);
-}
-
-void addressable_group_block(const double* drive_table,
-                             const double* vt_lanes, std::size_t lane_stride,
-                             std::size_t regions, std::size_t lanes,
+void addressable_group_masks(const std::uint64_t* below,
+                             const codes::digit* digits, std::size_t regions,
+                             std::size_t level_count, std::size_t words,
                              const std::size_t* members,
-                             std::size_t member_count, double* margin_scratch,
-                             double* out, std::size_t out_stride) {
+                             std::size_t member_count, std::uint64_t* out) {
   NWDEC_EXPECTS(member_count >= 1,
                 "a contact group holds at least one member");
-  NWDEC_EXPECTS(regions >= 1 && lanes >= 1,
-                "addressable_group_block needs regions and lanes");
-  detail::active_kernel_table().addressable_group_block(
-      drive_table, vt_lanes, lane_stride, regions, lanes, members,
-      member_count, margin_scratch, out, out_stride);
+  NWDEC_EXPECTS(regions >= 1, "addressable_group_masks needs regions");
+  const std::size_t row_words = regions * level_count * words;
+  // Lanes of `live` in which nanowire `row` conducts under `address`: one
+  // AND per region, checking for an empty set only every 8 regions -- a
+  // blocked impostor usually dies at a data-dependent region, and a
+  // straight run of ANDs is cheaper than a mispredicted exit per pair.
+  const auto conducting = [&](std::size_t row, const codes::digit* address,
+                              std::size_t word, std::uint64_t live) {
+    const std::uint64_t* masks = below + row * row_words + word;
+    for (std::size_t j = 0; j < regions && live != 0;) {
+      const std::size_t stop = std::min(regions, j + 8);
+      for (; j < stop; ++j) {
+        live &= masks[(j * level_count + address[j]) * words];
+      }
+    }
+    return live;
+  };
+  for (std::size_t k = 0; k < member_count; ++k) {
+    const codes::digit* address = digits + members[k] * regions;
+    for (std::size_t word = 0; word < words; ++word) {
+      std::uint64_t ok = conducting(members[k], address, word, ~0ULL);
+      for (std::size_t o = 0; o < member_count && ok != 0; ++o) {
+        if (o != k) ok &= ~conducting(members[o], address, word, ok);
+      }
+      out[k * words + word] = ok;
+    }
+  }
 }
 
 bool window_margin_block(const double* vt_lanes_row, std::size_t lane_stride,

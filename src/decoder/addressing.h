@@ -14,13 +14,17 @@
 // voltage-level rule on *realized* V_T matrices (used by the Monte-Carlo
 // yield simulator, where process variability has displaced every V_T).
 //
-// The blocked kernels (conducts_block, addressable_block,
-// addressable_group_block, window_margin_block) are runtime-SIMD-
-// dispatched: one binary carries scalar / SSE2 / AVX2 / AVX-512
-// instantiations and util/cpu picks the widest one the running CPU
-// supports (NWDEC_SIMD_PATH overrides; see util/cpu.h). Every path
-// performs the same IEEE operations per lane, so the chosen path never
-// changes a result, only throughput.
+// The Monte-Carlo engine evaluates the voltage rule over blocks of trial
+// lanes. Its operational criterion needs only comparisons, so it runs on
+// lane bitmasks: below_level_masks records, per (row, region, drive
+// level), which lanes have V_T below that level, and
+// addressable_group_masks turns those masks into a contact group's
+// verdicts with ANDs and ORs. The lane kernels (below_level_masks,
+// window_margin_block) are runtime-SIMD-dispatched: one binary carries
+// scalar / SSE2 / AVX2 / AVX-512 instantiations and util/cpu picks the
+// widest one the running CPU supports (NWDEC_SIMD_PATH overrides; see
+// util/cpu.h). Every path performs the same IEEE operations per lane, so
+// the chosen path never changes a result, only throughput.
 #pragma once
 
 #include <cstddef>
@@ -57,60 +61,37 @@ inline bool conducts(const double* realized_vt, const double* gate_voltages,
   return true;
 }
 
-/// Blocked voltage rule: one drive row evaluated against `lanes` realized
-/// rows at once. The realized thresholds are a structure-of-arrays slab --
-/// region j of lane t lives at realized_lanes[j * lane_stride + t] -- so
-/// the lane body is a contiguous branch-free sweep the compiler can
-/// vectorize. Lane t conducts iff gate[j] > vt for every region; the kernel
-/// computes the conduction margin min_j (gate[j] - vt) per lane (exactly
-/// equivalent: for finite doubles a > b iff a - b > 0, a nonzero
-/// difference of doubles never rounds to zero). Writes
-/// conducts_out[t] = 1 / 0 and returns true when any lane conducts.
-/// Requires regions >= 1 and lanes >= 1.
-bool conducts_block(const double* gate_voltages, const double* realized_lanes,
-                    std::size_t lane_stride, std::size_t regions,
-                    std::size_t lanes, std::uint8_t* conducts_out);
+/// Lane masks of the voltage rule's comparisons, on thresholds realized
+/// from standard deviates in the same pass. Row r (one region of one
+/// nanowire) holds lane t's deviate at z_lanes[r * lane_stride + t], and
+/// its realized threshold is vt = offsets[r] + scales[r] * z (the
+/// Monte-Carlo kernel's nominal + sigma * sqrt(nu) * z, rounded the same
+/// way on every path; offset 0 and scale 1 compare the slab as is). For
+/// every row r, level d and lane t < lanes, bit t % 64 of
+/// out[(r * level_count + d) * words + t / 64] is set iff vt < levels[d],
+/// with words = ceil(lanes / 64); bits past `lanes` are clear. When
+/// `levels` are the drive voltages, this is exactly the scalar rule's
+/// per-region test (gate > vt). Requires lanes >= 1 and
+/// lane_stride >= lanes.
+void below_level_masks(const double* z_lanes, std::size_t lane_stride,
+                       std::size_t rows, std::size_t lanes,
+                       const double* offsets, const double* scales,
+                       const double* levels, std::size_t level_count,
+                       std::uint64_t* out);
 
-/// Whole-contact-group blocked kernel: addressable_out[t] becomes 1.0 when,
-/// in lane t, nanowire `self` conducts under `gate_voltages` while every
-/// other listed group member blocks (the operational criterion for one
-/// address), else 0.0 -- a multiplication-ready lane mask. The slab holds
-/// every nanowire's lanes: region j of nanowire r at
-/// vt_lanes[(r * regions + j) * lane_stride + t]. `members` may include
-/// `self` (it is skipped). Early-exit mask at the self boundary: when the
-/// addressed nanowire blocks in every lane the whole member scan is
-/// skipped -- the one reduction that reliably pays, since at high sigma
-/// entire blocks die there. Member sweeps run straight-line: an all-lanes
-/// exit almost never fires across a whole block mid-scan and its
-/// reduction would cost more than it saves.
-/// `margin_scratch` must hold 2 * lanes doubles. Returns true when any lane
-/// stays addressable. Requires regions >= 1 and lanes >= 1.
-bool addressable_block(const double* gate_voltages, const double* vt_lanes,
-                       std::size_t lane_stride, std::size_t regions,
-                       std::size_t lanes, std::size_t self,
-                       const std::size_t* members, std::size_t member_count,
-                       double* margin_scratch, double* addressable_out);
-
-/// Whole-contact-group kernel: lane verdicts for every member of one
-/// contact group in a single pass. Member k (nanowire row members[k]) is
-/// addressable in lane t iff it conducts under its own address while every
-/// other member blocks; out[k * out_stride + t] receives the 1.0 / 0.0
-/// lane mask. Drive row of nanowire r starts at drive_table + r * regions;
-/// the V_T slab is laid out as in addressable_block. Equivalent to one
-/// addressable_block call per member, but the member-major sweep order
-/// keeps each member's lane rows cache-hot while every drive row of the
-/// group crosses them, so the slab is read ~twice per row instead of once
-/// per (member, impostor) pair -- the difference between an L1- and an
-/// L2-bound kernel at realistic group sizes. Members whose self margin is
-/// already dead in every lane are skipped as addressees (early-exit mask);
-/// they still sweep as impostors, exactly like the scalar path.
-/// `margin_scratch` must hold (member_count + 1) * lanes doubles.
-void addressable_group_block(const double* drive_table,
-                             const double* vt_lanes, std::size_t lane_stride,
-                             std::size_t regions, std::size_t lanes,
+/// Operational verdicts of one contact group from below_level_masks over
+/// the drive levels (rows = nanowires x regions, row-major). Nanowire a
+/// conducts under the address of nanowire w in lane t iff, for every
+/// region j, its mask for (a, j, digits[w * regions + j]) has bit t; member
+/// k (nanowire members[k]) is addressable in lane t iff it conducts under
+/// its own address and no other listed member does. Writes those lane
+/// masks to out[k * words + word]. Works for any radix, code length, group
+/// size and lane count. Requires member_count >= 1 and regions >= 1.
+void addressable_group_masks(const std::uint64_t* below,
+                             const codes::digit* digits, std::size_t regions,
+                             std::size_t level_count, std::size_t words,
                              const std::size_t* members,
-                             std::size_t member_count, double* margin_scratch,
-                             double* out, std::size_t out_stride);
+                             std::size_t member_count, std::uint64_t* out);
 
 /// Blocked window-criterion kernel (the Monte-Carlo engine's mc_mode::
 /// window): out[t] = 1.0 when lane t's realized V_T sits inside the
@@ -118,10 +99,10 @@ void addressable_group_block(const double* drive_table,
 /// region j of lane t at vt_lanes_row[j * lane_stride + t]; `nominal` and
 /// `low_guard` hold the nanowire's M window centers and lower guards
 /// (-window_half_width, or -infinity where digit 0 exempts the lower
-/// bound). Same running-min margin shape as the conduction kernels, and
-/// dispatched through the same per-ISA tables. `margin` must hold `lanes`
-/// doubles. Returns true when any lane passes. Requires regions >= 1 and
-/// lanes >= 1.
+/// bound), folded into a running-min margin per lane, and dispatched
+/// through the same per-ISA tables as below_level_masks. `margin` must
+/// hold `lanes` doubles. Returns true when any lane passes. Requires
+/// regions >= 1 and lanes >= 1.
 bool window_margin_block(const double* vt_lanes_row, std::size_t lane_stride,
                          std::size_t lanes, const double* nominal,
                          const double* low_guard, double window_half_width,

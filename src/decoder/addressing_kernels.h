@@ -1,15 +1,15 @@
 // Internal per-path kernel tables behind the runtime SIMD dispatch of the
-// blocked margin kernels (decoder/addressing.h) and the blocked window
-// criterion (yield/trial_context).
+// blocked lane kernels (decoder/addressing.h): the lane-mask compare pass of
+// the operational criterion and the window criterion's margin sweep.
 //
 // Each table is produced by one translation unit compiled for one target
 // ISA -- addressing_kernels_{scalar,sse2,avx2,avx512}.cpp all include
 // addressing_kernels_body.inc with different compiler flags -- and the
 // public entry points in addressing.cpp pick a table through
 // cpu::active_path(). Every path performs the same IEEE operations per
-// lane (sub, min, ordered compares, blends, all with FP contraction
-// disabled), so the tables are bit-identical in results and differ only in
-// throughput.
+// lane (mul, add, sub, min, ordered compares, all with FP contraction
+// disabled), so the tables are bit-identical in results and differ only
+// in throughput.
 #pragma once
 
 #include <cstddef>
@@ -22,30 +22,13 @@ namespace nwdec::decoder::detail {
 struct kernel_table {
   const char* name;
 
-  /// decoder::conducts_block's kernel (same contract; argument checks live
-  /// in the public wrapper).
-  bool (*conducts_block)(const double* gate_voltages,
-                         const double* realized_lanes, std::size_t lane_stride,
-                         std::size_t regions, std::size_t lanes,
-                         std::uint8_t* conducts_out);
-
-  /// decoder::addressable_block's kernel.
-  bool (*addressable_block)(const double* gate_voltages,
-                            const double* vt_lanes, std::size_t lane_stride,
-                            std::size_t regions, std::size_t lanes,
-                            std::size_t self, const std::size_t* members,
-                            std::size_t member_count, double* margin_scratch,
-                            double* addressable_out);
-
-  /// decoder::addressable_group_block's kernel.
-  void (*addressable_group_block)(const double* drive_table,
-                                  const double* vt_lanes,
-                                  std::size_t lane_stride, std::size_t regions,
-                                  std::size_t lanes,
-                                  const std::size_t* members,
-                                  std::size_t member_count,
-                                  double* margin_scratch, double* out,
-                                  std::size_t out_stride);
+  /// decoder::below_level_masks's kernel (same contract; argument checks
+  /// live in the public wrapper).
+  void (*below_level_masks)(const double* z_lanes, std::size_t lane_stride,
+                            std::size_t rows, std::size_t lanes,
+                            const double* offsets, const double* scales,
+                            const double* levels, std::size_t level_count,
+                            std::uint64_t* out);
 
   /// decoder::window_margin_block's kernel.
   bool (*window_margin_block)(const double* vt_lanes_row,

@@ -1,4 +1,4 @@
-// AVX-512 instantiation of the blocked margin kernels: compiled with
+// AVX-512 instantiation of the blocked lane kernels: compiled with
 // -mavx512f -mavx512bw when the compiler supports them, a stub otherwise.
 #include "decoder/addressing_kernels.h"
 

@@ -1,4 +1,4 @@
-// Scalar instantiation of the blocked margin kernels: compiled with the
+// Scalar instantiation of the blocked lane kernels: compiled with the
 // auto-vectorizer disabled (-fno-tree-vectorize) so it is the genuinely
 // scalar oracle every wider path is compared against, not just a copy of
 // the baseline-autovectorized sse2 path.

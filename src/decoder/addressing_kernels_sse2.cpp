@@ -1,4 +1,4 @@
-// SSE2 instantiation of the blocked margin kernels: plain loops at the
+// SSE2 instantiation of the blocked lane kernels: plain loops at the
 // x86-64 baseline, where the auto-vectorizer emits 2-wide SSE2 code -- the
 // default path of the pre-dispatch builds. A stub (nullptr table) on
 // targets without SSE2.

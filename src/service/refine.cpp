@@ -42,7 +42,7 @@ refine_result refine(sweep_service& service, const refine_request& request,
         service.evaluate(std::vector<core::sweep_request>{point}, 0.0, check);
     ++out.evaluations;
     out.cached += response.cached;
-    out.trace.push_back(response.points.front().result);
+    out.trace.push_back(*response.points.front().result);
     if (on_progress) on_progress(out.evaluations);
     return cliff_yield(out.trace.back());
   };

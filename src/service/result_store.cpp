@@ -392,61 +392,89 @@ result_store::result_store(std::size_t capacity) : capacity_(capacity) {
   NWDEC_EXPECTS(capacity >= 1, "the result store needs capacity >= 1");
 }
 
-const stored_result* result_store::peek(std::uint64_t fingerprint) const {
-  const auto found = index_.find(fingerprint);
-  return found == index_.end() ? nullptr : &found->second->result;
+void result_store::lru_list::push_front(slot& node) {
+  node.second.newer = nullptr;
+  node.second.older = newest;
+  if (newest != nullptr) newest->second.newer = &node;
+  newest = &node;
+  if (oldest == nullptr) oldest = &node;
+  ++size;
 }
 
-const stored_result* result_store::find(std::uint64_t fingerprint) {
+void result_store::lru_list::unlink(slot& node) {
+  entry& e = node.second;
+  (e.newer != nullptr ? e.newer->second.older : newest) = e.older;
+  (e.older != nullptr ? e.older->second.newer : oldest) = e.newer;
+  e.newer = e.older = nullptr;
+  --size;
+}
+
+void result_store::touch(slot& node, lru_list& from, lru_list& home) {
+  from.unlink(node);
+  home.push_front(node);
+  node.second.touched = ++touch_counter_;
+}
+
+const stored_result* result_store::peek(std::uint64_t fingerprint) const {
+  const auto found = index_.find(fingerprint);
+  return found == index_.end() ? nullptr : found->second.result.get();
+}
+
+std::shared_ptr<const stored_result> result_store::find(
+    std::uint64_t fingerprint) {
   const auto found = index_.find(fingerprint);
   if (found == index_.end()) {
     ++stats_.misses;
     return nullptr;
   }
   ++stats_.hits;
-  lru_list& home = list_for(found->second->result);
-  home.splice(home.begin(), home, found->second);
-  found->second->touched = ++touch_counter_;
-  return &found->second->result;
+  lru_list& home = list_for(*found->second.result);
+  touch(*found, home, home);
+  return found->second.result;
 }
 
 void result_store::evict_one() {
   // Cost-aware policy: shed the cheap (analytic-only) class first, LRU
   // within it; Monte-Carlo entries go only when nothing cheap is left.
-  lru_list& victims = !cheap_.empty() ? cheap_ : expensive_;
+  lru_list& victims = cheap_.size > 0 ? cheap_ : expensive_;
   if (&victims == &cheap_) {
     ++stats_.cheap_evictions;
   } else {
     ++stats_.mc_evictions;
   }
-  index_.erase(victims.back().fingerprint);
-  victims.pop_back();
+  slot& victim = *victims.oldest;
+  victims.unlink(victim);
+  index_.erase(victim.first);
   ++stats_.evictions;
 }
 
 void result_store::insert(std::uint64_t fingerprint, stored_result result) {
-  const auto found = index_.find(fingerprint);
-  if (found != index_.end()) {
-    // Refresh in place; a replacement may change cost class (e.g. an
-    // adaptive budget that stopped at zero trials under one policy),
-    // in which case the entry migrates lists.
-    lru_list& old_home = list_for(found->second->result);
-    lru_list& new_home = list_for(result);
-    found->second->result = std::move(result);
-    new_home.splice(new_home.begin(), old_home, found->second);
-    found->second->touched = ++touch_counter_;
+  insert(fingerprint,
+         std::make_shared<const stored_result>(std::move(result)));
+}
+
+void result_store::insert(std::uint64_t fingerprint,
+                          std::shared_ptr<const stored_result> result) {
+  NWDEC_EXPECTS(result != nullptr, "the store holds results, not nulls");
+  lru_list& home = list_for(*result);
+  const auto [found, fresh] = index_.try_emplace(fingerprint);
+  if (fresh) {
+    home.push_front(*found);
+    found->second.touched = ++touch_counter_;
   } else {
-    lru_list& home = list_for(result);
-    home.push_front(entry{fingerprint, std::move(result), ++touch_counter_});
-    index_.emplace(fingerprint, home.begin());
-    if (size() > capacity_) evict_one();
+    // Refresh in place; a replacement may change cost class (e.g. an
+    // adaptive budget that stopped at zero trials under one policy), in
+    // which case the entry migrates lists.
+    touch(*found, list_for(*found->second.result), home);
   }
+  found->second.result = std::move(result);
+  if (fresh && size() > capacity_) evict_one();
   ++stats_.insertions;
 }
 
 void result_store::clear() {
-  cheap_.clear();
-  expensive_.clear();
+  cheap_ = lru_list{};
+  expensive_ = lru_list{};
   index_.clear();
 }
 
@@ -464,23 +492,16 @@ std::string result_store::to_json(const store_header& header) const {
   // the reloaded store has the identical recency (and eviction) order.
   // Both class lists are recency-ordered on their own; merging their tails
   // on the global touch stamp reconstructs the store-wide order.
-  auto cheap_it = cheap_.rbegin();
-  auto expensive_it = expensive_.rbegin();
-  const auto write_entry = [&json](const entry& e) {
-    write_store_entry(json, e.fingerprint, e.result);
-  };
-  while (cheap_it != cheap_.rend() || expensive_it != expensive_.rend()) {
+  const slot* cheap = cheap_.oldest;
+  const slot* expensive = expensive_.oldest;
+  while (cheap != nullptr || expensive != nullptr) {
     const bool take_cheap =
-        expensive_it == expensive_.rend() ||
-        (cheap_it != cheap_.rend() &&
-         cheap_it->touched < expensive_it->touched);
-    if (take_cheap) {
-      write_entry(*cheap_it);
-      ++cheap_it;
-    } else {
-      write_entry(*expensive_it);
-      ++expensive_it;
-    }
+        expensive == nullptr ||
+        (cheap != nullptr &&
+         cheap->second.touched < expensive->second.touched);
+    const slot*& next = take_cheap ? cheap : expensive;
+    write_store_entry(json, next->first, *next->second.result);
+    next = next->second.newer;
   }
   return json.end_array().end_object().str();
 }

@@ -43,7 +43,7 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <list>
+#include <memory>
 #include <string>
 #include <string_view>
 #include <unordered_map>
@@ -125,23 +125,28 @@ struct store_stats {
 class result_store {
  public:
   explicit result_store(std::size_t capacity = 1 << 16);
+  // The recency lists point into the index's nodes.
+  result_store(const result_store&) = delete;
+  result_store& operator=(const result_store&) = delete;
 
-  std::size_t size() const { return cheap_.size() + expensive_.size(); }
+  std::size_t size() const { return cheap_.size + expensive_.size; }
   std::size_t capacity() const { return capacity_; }
   const store_stats& stats() const { return stats_; }
   /// Entries currently in the cheap (analytic-only) cost class.
-  std::size_t cheap_size() const { return cheap_.size(); }
+  std::size_t cheap_size() const { return cheap_.size; }
   /// Entries currently in the expensive (Monte-Carlo) cost class.
-  std::size_t expensive_size() const { return expensive_.size(); }
+  std::size_t expensive_size() const { return expensive_.size; }
 
   /// The cached result for the fingerprint, or nullptr on a miss. A hit
-  /// refreshes the entry's recency; the pointer stays valid until the next
-  /// insert/clear/load.
-  const stored_result* find(std::uint64_t fingerprint);
+  /// refreshes the entry's recency. Results are immutable and shared: an
+  /// answer holding the returned pointer keeps the result alive past its
+  /// eviction without copying it.
+  std::shared_ptr<const stored_result> find(std::uint64_t fingerprint);
 
   /// find() without side effects: no recency refresh, no hit/miss
   /// counting (the sweep service's insert policy inspects the resident
-  /// entry without disturbing eviction order or stats).
+  /// entry without disturbing eviction order or stats). The pointer stays
+  /// valid until the next insert/clear/load.
   const stored_result* peek(std::uint64_t fingerprint) const;
 
   /// Inserts (or refreshes) a result. Beyond capacity the least recently
@@ -149,6 +154,10 @@ class result_store {
   /// entry carries Monte-Carlo work does eviction fall back to the
   /// expensive class's LRU tail (see the header comment).
   void insert(std::uint64_t fingerprint, stored_result result);
+  /// insert() of a result that is already shared (the sweep service hands
+  /// the store and its response the same object).
+  void insert(std::uint64_t fingerprint,
+              std::shared_ptr<const stored_result> result);
 
   /// Drops every entry (counters are kept: they describe the lifetime).
   void clear();
@@ -170,26 +179,42 @@ class result_store {
   void save_file(const std::string& path, const store_header& header) const;
 
  private:
+  struct entry;
+  /// An index node: the fingerprint and its entry. Nodes never move, so
+  /// the recency lists thread through them.
+  using slot = std::pair<const std::uint64_t, entry>;
   struct entry {
-    std::uint64_t fingerprint = 0;
-    stored_result result;
+    std::shared_ptr<const stored_result> result;
     /// Global recency stamp (monotonic): both class lists are ordered by
     /// recency on their own, and merging on this stamp reconstructs the
     /// store-wide order for persistence.
     std::uint64_t touched = 0;
+    slot* newer = nullptr;  ///< class list neighbour towards the front
+    slot* older = nullptr;  ///< class list neighbour towards the back
   };
-  using lru_list = std::list<entry>;
+  /// One cost class's recency list, threaded through the index's own
+  /// nodes (no separate list node per entry). front = most recent.
+  struct lru_list {
+    slot* newest = nullptr;
+    slot* oldest = nullptr;
+    std::size_t size = 0;
+
+    void push_front(slot& node);
+    void unlink(slot& node);
+  };
 
   /// The class list an entry belongs in, by its cost.
   lru_list& list_for(const stored_result& result) {
     return result.expensive() ? expensive_ : cheap_;
   }
+  /// Moves a resident node to the front of `home`, stamping its recency.
+  void touch(slot& node, lru_list& from, lru_list& home);
   void evict_one();
 
   std::size_t capacity_;
-  lru_list cheap_;      ///< analytic-only entries, front = most recent
-  lru_list expensive_;  ///< Monte-Carlo entries, front = most recent
-  std::unordered_map<std::uint64_t, lru_list::iterator> index_;
+  lru_list cheap_;      ///< analytic-only entries
+  lru_list expensive_;  ///< Monte-Carlo entries
+  std::unordered_map<std::uint64_t, entry> index_;
   std::uint64_t touch_counter_ = 0;
   store_stats stats_;
 };

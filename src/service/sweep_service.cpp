@@ -182,14 +182,14 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
       const double target =
           effective_target(resolved, queries[k].min_half_width);
 
-      const stored_result* hit = store_.find(key);
+      const std::shared_ptr<const stored_result> hit = store_.find(key);
       point_source source = point_source::computed;
       std::optional<core::mc_resume_point> resume;
       if (hit != nullptr) {
         if (entry_serves(*hit, resolved, target)) {
           (resolved.mc_trials == 0 ? counters.hits_cheap : counters.hits_mc)
               .inc();
-          response.points[k] = {*hit, point_source::cached};
+          response.points[k] = {hit, point_source::cached};
           ++response.cached;
           continue;
         }
@@ -319,7 +319,12 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
     // and the response, so the two payloads can never drift apart.
     const auto insert_start = std::chrono::steady_clock::now();
     const std::lock_guard<std::mutex> lock(mutex_);
-    for (const eval_plan& plan : plans) {
+    std::vector<std::shared_ptr<const stored_result>> produced;
+    produced.reserve(plans.size());
+    for (eval_plan& plan : plans) {
+      produced.push_back(
+          std::make_shared<const stored_result>(std::move(plan.produced)));
+      const stored_result& fresh = *produced.back();
       const std::uint64_t key = core::fingerprint(plan.request);
       // Keep a dominating resident entry: one with at least as many
       // trials whose recorded target (when this plan ran one) is equal-
@@ -330,17 +335,17 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
       const stored_result* resident = store_.peek(key);
       const bool dominated =
           resident != nullptr &&
-          resident->mc_trials_used >= plan.produced.mc_trials_used &&
+          resident->mc_trials_used >= fresh.mc_trials_used &&
           (plan.target == 0.0 ||
            (resident->budget_target > 0.0 &&
             resident->budget_target <= plan.target));
       if (!dominated) {
-        store_.insert(key, plan.produced);
+        store_.insert(key, produced.back());
         // Write-ahead record per fresh insert; the sync below makes the
         // whole pass durable with one fsync.
         if (durable_) {
           const auto append_start = std::chrono::steady_clock::now();
-          durable_->append(key, plan.produced);
+          durable_->append(key, fresh);
           trace->wal_append_seconds += seconds_since(append_start);
         }
       }
@@ -358,7 +363,7 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
     for (std::size_t k = 0; k < queries.size(); ++k) {
       if (!pending[k].has_value()) continue;
       const slot_ref& ref = *pending[k];
-      response.points[k] = {plans[ref.plan].produced, ref.source};
+      response.points[k] = {produced[ref.plan], ref.source};
       if (ref.source == point_source::topped_up) {
         ++response.topped_up;
         ++topped_up_total_;
@@ -423,11 +428,12 @@ std::optional<sweep_response> sweep_service::try_serve_cached(
   response.points.reserve(queries.size());
   for (const point_query& query : queries) {
     const core::sweep_request resolved = engine_.resolve(query.request);
-    const stored_result* hit = store_.find(core::fingerprint(resolved));
+    std::shared_ptr<const stored_result> hit =
+        store_.find(core::fingerprint(resolved));
     NWDEC_EXPECTS(hit != nullptr,
                   "a peeked entry vanished under the service mutex");
     (resolved.mc_trials == 0 ? counters.hits_cheap : counters.hits_mc).inc();
-    response.points.push_back({*hit, point_source::cached});
+    response.points.push_back({std::move(hit), point_source::cached});
     ++response.cached;
   }
   return response;
@@ -488,7 +494,7 @@ service_stats sweep_service::stats() const {
 void write_payload(json_writer& json, const sweep_response& response) {
   json.begin_object().key("points").begin_array();
   for (const sweep_response_entry& entry : response.points) {
-    write_stored_result(json, entry.result);
+    write_stored_result(json, *entry.result);
   }
   json.end_array().end_object();
 }

@@ -109,9 +109,12 @@ struct eval_trace {
   std::size_t mc_trials = 0;          ///< Monte-Carlo trials spent
 };
 
-/// One answered point: the payload plus its provenance.
+/// One answered point: the payload plus its provenance. The result is the
+/// store's own immutable object (or, for a fresh result the store declined
+/// to keep, the one object the evaluation produced), shared rather than
+/// copied, so answers retained by finished jobs cost a pointer per point.
 struct sweep_response_entry {
-  stored_result result;
+  std::shared_ptr<const stored_result> result;
   point_source source = point_source::computed;
 };
 

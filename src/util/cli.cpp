@@ -55,6 +55,17 @@ void cli_parser::add_flag(const std::string& name, const std::string& help) {
   order_.push_back(name);
 }
 
+std::optional<int> cli_parser::parse_main(int argc,
+                                          const char* const* argv) {
+  try {
+    if (!parse(argc, argv)) return 0;
+  } catch (const invalid_argument_error& error) {
+    std::cerr << program_ << ": " << error.what() << "\n";
+    return 1;
+  }
+  return std::nullopt;
+}
+
 bool cli_parser::parse(int argc, const char* const* argv) {
   for (int i = 1; i < argc; ++i) {
     std::string arg = argv[i];

@@ -34,6 +34,11 @@ class cli_parser {
   /// invalid_argument_error on unknown options or malformed values.
   bool parse(int argc, const char* const* argv);
 
+  /// parse() for a program's main: the status main should exit with right
+  /// away -- 0 after --help, 1 after printing "<program>: <error>" to
+  /// stderr for a command line parse() refuses -- or nullopt to run on.
+  std::optional<int> parse_main(int argc, const char* const* argv);
+
   /// Typed accessors; the option must have been declared.
   std::string get_string(const std::string& name) const;
   std::int64_t get_int(const std::string& name) const;

@@ -1,7 +1,8 @@
 // Runtime CPU feature detection and SIMD dispatch-path selection.
 //
-// The hot kernels of the blocked Monte-Carlo engine -- the margin sweeps in
-// decoder/addressing and the bulk deviate conversions in util/rng -- are
+// The hot kernels of the blocked Monte-Carlo engine -- the lane-mask and
+// window kernels in decoder/addressing and the lane-parallel seeding,
+// twisting and deviate conversions in util/rng -- are
 // compiled several times, once per target ISA (scalar / SSE2 / AVX2 /
 // AVX-512), into per-path function-pointer tables. One binary carries every
 // path the compiler could build; a cpuid probe picks the widest one the

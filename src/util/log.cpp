@@ -109,11 +109,13 @@ std::string timestamp_utc() {
                       1000;
   std::tm split{};
   gmtime_r(&seconds, &split);
+  // strftime bounds the date-time part by the buffer; the millisecond
+  // suffix is at most ".999Z".
   char buffer[32];
-  std::snprintf(buffer, sizeof(buffer),
-                "%04d-%02d-%02dT%02d:%02d:%02d.%03dZ", split.tm_year + 1900,
-                split.tm_mon + 1, split.tm_mday, split.tm_hour, split.tm_min,
-                split.tm_sec, static_cast<int>(millis));
+  const std::size_t length =
+      std::strftime(buffer, sizeof(buffer), "%Y-%m-%dT%H:%M:%S", &split);
+  std::snprintf(buffer + length, sizeof(buffer) - length, ".%03uZ",
+                static_cast<unsigned>(millis % 1000));
   return buffer;
 }
 

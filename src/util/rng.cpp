@@ -1,8 +1,9 @@
-// block_rng: the blocked Monte-Carlo kernel's mt19937_64 (see util/rng.h
-// for the deviate contract it pins). The implementation splits the twist at
-// its wrap points so the lane bodies are branch-free, and twists lazily in
-// chunks: a per-trial stream that consumes ~200 draws never pays for the
-// full 312-word round the eager std engine generates.
+// block_rng and standard_normal_block: mt19937_64 streams drawn under the
+// deviate contract util/rng.h pins, one stream at a time (block_rng) or a
+// trial block's streams lane-parallel (standard_normal_block). Both split
+// the twist at its wrap points so the bodies are branch-free, and twist
+// lazily in chunks: a per-trial stream that consumes ~200 draws never pays
+// for the full 312-word round the eager std engine generates.
 #include "util/rng.h"
 
 #include <algorithm>
@@ -69,33 +70,6 @@ void block_rng::seed(std::uint64_t seed) {
   }
   index_ = mt_n;
   twisted_ = mt_n;
-}
-
-void block_rng::seed_block(block_rng* engines, const std::uint64_t* seeds,
-                           std::size_t count) {
-  std::size_t e = 0;
-  for (; e + 4 <= count; e += 4) {
-    std::uint64_t* a = engines[e].state_;
-    std::uint64_t* b = engines[e + 1].state_;
-    std::uint64_t* c = engines[e + 2].state_;
-    std::uint64_t* d = engines[e + 3].state_;
-    a[0] = seeds[e];
-    b[0] = seeds[e + 1];
-    c[0] = seeds[e + 2];
-    d[0] = seeds[e + 3];
-    for (std::size_t i = 1; i < mt_n; ++i) {
-      const std::uint64_t k = static_cast<std::uint64_t>(i);
-      a[i] = seed_step(a[i - 1], k);
-      b[i] = seed_step(b[i - 1], k);
-      c[i] = seed_step(c[i - 1], k);
-      d[i] = seed_step(d[i - 1], k);
-    }
-    for (std::size_t j = 0; j < 4; ++j) {
-      engines[e + j].index_ = mt_n;
-      engines[e + j].twisted_ = mt_n;
-    }
-  }
-  for (; e < count; ++e) engines[e].seed(seeds[e]);
 }
 
 void block_rng::twist_to(std::size_t limit) {
@@ -264,31 +238,143 @@ void block_rng::standard_normal_fill(double* out, std::size_t count,
   }
 }
 
+namespace {
+
+// Words twisted per lane-parallel chunk: even (polar pairs never straddle
+// a chunk) and at most 64, the lane_pairs bound.
+constexpr std::size_t lane_chunk = 64;
+constexpr std::size_t lane_group = detail::lane_group;
+
+// One lane's progress through its stream during standard_normal_block.
+struct lane_cursor {
+  std::size_t emitted = 0;  ///< deviates written
+  std::size_t tails = 0;    ///< tail uniforms written
+};
+
+// Walks one lane of a lane group over the freshly twisted rows
+// [begin, end) of the current round: polar pairs until `count` deviates
+// are out (the block_rng::standard_normal_fill walk: compress-store the
+// accepted pairs, log/sqrt densely over them, consume through the pair
+// that completes the fill), then single tail words until `tail_count`
+// uniforms are out. Returns true when the lane needs no further words.
+bool walk_lane(const detail::rng_kernel_table& kernels,
+               const std::uint64_t* group, std::size_t lane,
+               std::size_t begin, std::size_t end, const double* px,
+               const double* py, const double* pr2, std::size_t count,
+               double* out, std::size_t stride, std::size_t tail_count,
+               double* tail_out, lane_cursor& cursor) {
+  std::size_t position = begin;
+  if (cursor.emitted < count) {
+    // Compress-store of the accepted pairs' positions (branch-free: every
+    // slot is written, acceptance only moves the cursor).
+    std::size_t apos[lane_chunk / 2];
+    double am[lane_chunk / 2];
+    const std::size_t pairs = (end - begin) / 2;
+    std::size_t accepted = 0;
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const double r2 = pr2[p * lane_group + lane];
+      apos[accepted] = p * lane_group + lane;
+      accepted += (r2 <= 1.0 && r2 != 0.0) ? 1 : 0;
+    }
+    const std::size_t need_pairs = (count - cursor.emitted + 1) / 2;
+    const std::size_t use = accepted < need_pairs ? accepted : need_pairs;
+    for (std::size_t a = 0; a < use; ++a) {
+      const double r2 = pr2[apos[a]];
+      am[a] = std::sqrt(-2.0 * std::log(r2) / r2);
+    }
+    std::size_t k = cursor.emitted;
+    for (std::size_t a = 0; a < use; ++a) {
+      out[k * stride] = py[apos[a]] * am[a];
+      ++k;
+      if (k < count) {
+        out[k * stride] = px[apos[a]] * am[a];
+        ++k;
+      }
+    }
+    cursor.emitted = k;
+    if (k < count) return false;
+    position = begin + 2 * (apos[use - 1] / lane_group + 1);
+  }
+  if (cursor.tails < tail_count) {
+    std::uint64_t words[lane_chunk];
+    const std::size_t take =
+        std::min(tail_count - cursor.tails, end - position);
+    for (std::size_t w = 0; w < take; ++w) {
+      words[w] = group[(position + w) * lane_group + lane];
+    }
+    kernels.units_from_words(words, take, tail_out + cursor.tails);
+    cursor.tails += take;
+  }
+  return cursor.tails == tail_count;
+}
+
+}  // namespace
+
 void standard_normal_block(std::uint64_t key, std::uint64_t first,
                            std::size_t trials, std::size_t count,
                            double* lanes, std::size_t lane_stride,
-                           block_rng* tails) {
+                           std::size_t tail_count, double* tail_uniforms,
+                           lane_rng_scratch& scratch) {
   NWDEC_EXPECTS(lane_stride >= trials,
                 "deviate block lane stride must cover every trial lane");
-  if (tails != nullptr) {
-    // Interleaved bulk seeding first (see seed_block), then one fill pass.
-    std::uint64_t seeds[64];
-    for (std::size_t t0 = 0; t0 < trials; t0 += 64) {
-      const std::size_t n = std::min<std::size_t>(64, trials - t0);
-      for (std::size_t t = 0; t < n; ++t) {
-        seeds[t] = rng::counter_seed(key, first + t0 + t);
-      }
-      block_rng::seed_block(tails + t0, seeds, n);
-    }
-    for (std::size_t t = 0; t < trials; ++t) {
-      tails[t].standard_normal_fill(lanes + t, count, lane_stride);
-    }
-    return;
+  const detail::rng_kernel_table& kernels = detail::active_rng_kernel_table();
+  const std::size_t groups = (trials + lane_group - 1) / lane_group;
+  if (scratch.state.size() < groups * mt_n * lane_group) {
+    scratch.state.resize(groups * mt_n * lane_group);
   }
-  block_rng local;
+  scratch.seeds.resize(trials);
   for (std::size_t t = 0; t < trials; ++t) {
-    local.seed(rng::counter_seed(key, first + t));
-    local.standard_normal_fill(lanes + t, count, lane_stride);
+    scratch.seeds[t] = rng::counter_seed(key, first + t);
+  }
+  kernels.seed_lanes(scratch.seeds.data(), trials, scratch.state.data());
+
+  // Group by group: twist the next chunk of every lane at once, form its
+  // polar candidates, then walk each unfinished lane across it. A lane
+  // that is not finished has consumed every word twisted so far, so all
+  // unfinished lanes share one twist frontier; finished lanes need no
+  // more words, so a new round may overwrite their state.
+  double px[lane_chunk / 2 * lane_group];
+  double py[lane_chunk / 2 * lane_group];
+  double pr2[lane_chunk / 2 * lane_group];
+  for (std::size_t g = 0; g < groups; ++g) {
+    std::uint64_t* group = scratch.state.data() + g * mt_n * lane_group;
+    const std::size_t first_lane = g * lane_group;
+    const std::size_t width = std::min(lane_group, trials - first_lane);
+    lane_cursor cursors[lane_group];
+    bool done[lane_group] = {};
+    std::size_t open = width;
+    std::size_t twisted = mt_n;
+    while (open > 0) {
+      if (twisted == mt_n) twisted = 0;
+      // Twist only what the neediest open lane is expected to consume: its
+      // remaining pairs at ~4/pi attempts each (budgeted as 3 words a
+      // pair), plus its tail words. An underestimate just takes one more
+      // chunk.
+      std::size_t want = 2;
+      for (std::size_t l = 0; l < width; ++l) {
+        if (done[l]) continue;
+        const std::size_t pairs = (count - cursors[l].emitted + 1) / 2;
+        want = std::max(want, pairs * 3 + 4 + tail_count - cursors[l].tails);
+      }
+      const std::size_t end =
+          std::min({mt_n, twisted + lane_chunk, twisted + (want + 1) / 2 * 2});
+      kernels.twist_lanes(group, twisted, end);
+      if (count > 0) {
+        kernels.lane_pairs(group + twisted * lane_group, (end - twisted) / 2,
+                           px, py, pr2);
+      }
+      for (std::size_t l = 0; l < width; ++l) {
+        if (done[l]) continue;
+        const std::size_t t = first_lane + l;
+        if (walk_lane(kernels, group, l, twisted, end, px, py, pr2, count,
+                      lanes + t, lane_stride, tail_count,
+                      tail_uniforms + t * tail_count, cursors[l])) {
+          done[l] = true;
+          --open;
+        }
+      }
+      twisted = end;
+    }
   }
 }
 

@@ -22,6 +22,7 @@
 #include <cstddef>
 #include <cstdint>
 #include <random>
+#include <vector>
 
 #include "util/error.h"
 
@@ -132,20 +133,17 @@ class rng {
   std::mt19937_64 engine_;
 };
 
-/// The blocked Monte-Carlo kernel's generator: mt19937_64 re-implemented
-/// from its (fully standard-specified) recurrence, plus the exact draw
-/// rules of the distributions the trial kernel consumes. Why it exists:
+/// mt19937_64 re-implemented from its (fully standard-specified)
+/// recurrence, plus the exact draw rules of the distributions the trial
+/// kernel consumes -- the single-stream statement of the deviate contract
+/// that standard_normal_block (below) runs many streams at once:
 ///
-///   * The scalar engine derives one stream per trial, and std::mt19937_64
-///     pays a fixed-cost state initialization plus per-draw bookkeeping
-///     that dominates short streams (~200 draws per trial). block_rng
-///     seeds in place, twists the state lazily in chunks (a trial that
-///     stops mid-round never finishes the round), and fills deviate slabs
-///     with an arbitrary output stride, so the batched kernel writes
-///     structure-of-arrays layouts directly.
 ///   * Its raw output is bit-identical to std::mt19937_64 by construction
-///     (the engine is specified exactly; the tests verify it), and its
-///     canonical / bernoulli / standard_normal_fill draws replicate the
+///     (the engine is specified exactly; the tests verify it). It seeds in
+///     place, twists the state lazily in chunks (a stream that stops
+///     mid-round never finishes the round), and fills with an arbitrary
+///     output stride.
+///   * Its canonical / bernoulli / standard_normal_fill draws replicate the
 ///     draw-for-draw behavior of rng's std distributions on this engine
 ///     (libstdc++'s generate_canonical / bernoulli / Marsaglia-polar
 ///     normal_distribution), pinned here as the repo's deviate contract:
@@ -168,15 +166,6 @@ class block_rng {
   /// Re-seeds this generator in place (no state copy, unlike assigning a
   /// freshly constructed object).
   void seed(std::uint64_t seed);
-
-  /// Seeds `count` generators at once, interleaving four independent
-  /// initialization recurrences per pass. Seeding is a serial
-  /// multiply-chain (~6 cycles of loop-carried latency per state word);
-  /// a trial block seeds many independent engines, so interleaving hides
-  /// that latency behind throughput -- several times faster per engine
-  /// than seeding one at a time, with bit-identical state.
-  static void seed_block(block_rng* engines, const std::uint64_t* seeds,
-                         std::size_t count);
 
   /// The stream rng::from_counter(key, counter) draws from.
   static block_rng from_counter(std::uint64_t key, std::uint64_t counter) {
@@ -256,20 +245,32 @@ class block_rng {
   std::size_t twisted_ = state_size;  ///< words of the current round twisted
 };
 
-/// The batched counter-based normal generator of the blocked Monte-Carlo
-/// kernel: one pass that fills a contiguous deviate block for `trials`
-/// streams at once, in lane-major (structure-of-arrays) layout -- deviate k
-/// of trial t lands at lanes[k * lane_stride + t]. Row t receives exactly
-/// the `count` deviates rng::from_counter(key, first + t) would produce
-/// through standard_normal_fill (the per-(trial, region) deviate contract),
-/// so a blocked consumer is bit-identical to a per-trial scalar one. When
-/// `tails` is non-null it must hold `trials` generators; tails[t] is left
-/// positioned immediately after trial t's deviates, so the caller can
-/// continue each trial's stream (defect maps, discard Bernoullis)
-/// bit-compatibly with the scalar path. Requires lane_stride >= trials.
+/// Reusable buffers of standard_normal_block; no heap allocation once they
+/// have grown to the largest block.
+struct lane_rng_scratch {
+  std::vector<std::uint64_t> state;  ///< lane groups x 312 x 8 state words
+  std::vector<std::uint64_t> seeds;  ///< one per trial
+};
+
+/// The batched counter-based generator of the blocked Monte-Carlo kernel.
+/// Trial t in [0, trials) draws from the stream rng::from_counter(key,
+/// first + t): its first `count` standard normals land at
+/// lanes[k * lane_stride + t] (structure-of-arrays, one row per deviate) --
+/// exactly what rng::standard_normal_fill produces from that stream -- and
+/// the next `tail_count` canonicals of the same stream at
+/// tail_uniforms[t * tail_count + k], exactly the block_rng::canonical()
+/// draws that would follow (the trial's defect and discard uniforms).
+///
+/// The streams are seeded and twisted lane-parallel, in one
+/// structure-of-arrays mt19937_64 state per group of eight trials (the
+/// per-path kernels of util/rng_kernels.h); only the polar accept/reject
+/// walk, with its scalar std::log, runs lane by lane. Every trial's
+/// deviates and tail draws are therefore bit-identical to its scalar
+/// stream. Requires lane_stride >= trials.
 void standard_normal_block(std::uint64_t key, std::uint64_t first,
                            std::size_t trials, std::size_t count,
                            double* lanes, std::size_t lane_stride,
-                           block_rng* tails);
+                           std::size_t tail_count, double* tail_uniforms,
+                           lane_rng_scratch& scratch);
 
 }  // namespace nwdec

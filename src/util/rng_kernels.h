@@ -1,6 +1,8 @@
-// Internal per-path tables for the bulk deviate conversions behind
-// block_rng (util/rng.h): tempering a run of raw mt19937_64 state words and
-// converting them to canonical doubles (and polar-pair candidates) in bulk.
+// Internal per-path tables for the bulk deviate work behind block_rng and
+// standard_normal_block (util/rng.h): tempering a run of raw mt19937_64
+// state words and converting them to canonical doubles (and polar-pair
+// candidates) in bulk, and seeding and twisting many streams at once in a
+// lane-parallel (structure-of-arrays) state.
 //
 // Each table is produced by one translation unit compiled for one target
 // ISA -- rng_kernels_{scalar,sse2,avx2,avx512}.cpp all include
@@ -19,6 +21,13 @@
 
 namespace nwdec::detail {
 
+/// Streams per lane group of the lane-parallel state: group g holds lanes
+/// [8g, 8g + 8), and word i of lane l sits at
+/// state[(g * 312 + i) * lane_group + l % lane_group] -- one 64-byte row
+/// per state word, so a group's whole state (20 KB) stays L1-resident
+/// while its deviates are walked.
+inline constexpr std::size_t lane_group = 8;
+
 struct rng_kernel_table {
   const char* name;
 
@@ -34,6 +43,28 @@ struct rng_kernel_table {
   /// bound; implementations may use fixed stack staging of that size).
   void (*pairs_from_words)(const std::uint64_t* words, std::size_t pairs,
                            double* px, double* py, double* pr2);
+
+  /// Lane-parallel seeding: lane l of the lane-group state (layout above)
+  /// receives std::mt19937_64{seeds[l]}'s initial 312 words, for l in
+  /// [0, lanes). Lanes past `lanes` in the last group are seeded from 0
+  /// (state is written, never read). `state` holds
+  /// ceil(lanes / lane_group) * 312 * lane_group words.
+  void (*seed_lanes)(const std::uint64_t* seeds, std::size_t lanes,
+                     std::uint64_t* state);
+
+  /// Twists words [begin, end) of the current round of one lane group in
+  /// place, every lane by mt19937_64's recurrence (the same split at the
+  /// wrap points as block_rng's lazy twist). Requires end <= 312.
+  void (*twist_lanes)(std::uint64_t* group_state, std::size_t begin,
+                      std::size_t end);
+
+  /// Polar-pair candidates of one lane group: pair p of lane l comes from
+  /// rows 2p and 2p + 1 of `rows` (row r, lane l at rows[r * lane_group +
+  /// l]) exactly as pairs_from_words forms them, and lands at
+  /// p * lane_group + l of px / py / pr2. Requires pairs <= 32.
+  void (*lane_pairs)(const std::uint64_t* rows, std::size_t pairs,
+                     double* px, double* py, double* pr2);
+
 };
 
 /// Per-path table getters; nullptr when the build could not compile that

@@ -1,7 +1,8 @@
 #include "yield/trial_context.h"
 
+#include <algorithm>
+#include <bit>
 #include <cmath>
-#include <cstring>
 #include <limits>
 
 #include "decoder/addressing.h"
@@ -38,6 +39,17 @@ trial_context::trial_context(const decoder::decoder_design& design,
           row[j] != 0 ? -window_half_width_
                       : -std::numeric_limits<double>::infinity();
     }
+  }
+
+  // The lane-mask verdicts ask "vt < drive level" once per level and read
+  // a row's answer at its digit, which equals the scalar rule's
+  // "drive > vt" only if the levels are finite and distinct -- strictly
+  // increasing, as vt_levels places them.
+  for (unsigned d = 0; d < levels.radix(); ++d) {
+    drive_levels_.push_back(levels.drive_voltage(static_cast<codes::digit>(d)));
+    NWDEC_ENSURES(std::isfinite(drive_levels_.back()) &&
+                      (d == 0 || drive_levels_[d - 1] < drive_levels_[d]),
+                  "drive levels must be finite and strictly increasing");
   }
 
   // Contact-group membership as one flat offsets+indices layout.
@@ -140,122 +152,129 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
                                     const fab::defect_params* defects,
                                     std::uint32_t* good) const {
   NWDEC_EXPECTS(count >= 1, "a trial block needs at least one trial");
+  if (defects != nullptr) defects->validate();
   const std::size_t cells = nanowires_ * regions_;
   // Lane rows padded to 64-byte multiples so every region row of the slab
   // starts cache-line aligned; the kernels still sweep `count` lanes only.
   const std::size_t lane_stride = (count + 7) & ~std::size_t{7};
-
-  const auto ensure = [](std::vector<double>& buffer, std::size_t size) {
-    if (buffer.size() < size) buffer.resize(size, 0.0);
-  };
-  ensure(scratch.vt_lanes, cells * lane_stride);
-  ensure(scratch.active_lanes, nanowires_ * lane_stride);
-  ensure(scratch.margins, (nanowires_ + 1) * lane_stride);
-  ensure(scratch.verdicts, nanowires_ * lane_stride);
-  ensure(scratch.good_lanes, lane_stride);
-  if (scratch.streams.size() < count) scratch.streams.resize(count);
-  double* slab = scratch.vt_lanes.data();
-  double* active = scratch.active_lanes.data();
-  double* good_lanes = scratch.good_lanes.data();
-
-  // Phase 1: the batched deviate pass. Cell k of trial first + t lands at
-  // slab[k * lane_stride + t], drawn from that trial's own counter-based
-  // stream; streams[t] stays positioned for the trial's tail draws.
-  standard_normal_block(run_key, first, count, cells, slab, lane_stride,
-                        scratch.streams.data());
-
-  // Phase 2: fused realize transform -- the same per-cell expression as
-  // the scalar path (nominal + sigma * sqrt(nu) * z), swept down each
-  // cell's contiguous lane row.
-  for (std::size_t k = 0; k < cells; ++k) {
-    const double center = nominal_vt_[k];
-    const double scale = sigma_vt * noise_scale_[k];
-    double* lane = slab + k * lane_stride;
-    for (std::size_t t = 0; t < count; ++t) {
-      lane[t] = center + scale * lane[t];
-    }
-  }
-
-  // Phase 3: per-trial tail draws in scalar stream order (defect map, then
-  // one discard Bernoulli per at-risk nanowire), folded into the survival
-  // mask the counting phase multiplies by. The draws come as one bulk
-  // canonical_fill per trial -- the defect uniforms followed by the at-risk
-  // discard uniforms, the identical words the scalar path consumes one
-  // bernoulli at a time -- and the verdicts are branch-free SoA passes
-  // instead of per-nanowire rejection bookkeeping.
+  const std::size_t words = (count + 63) / 64;
   const std::size_t defect_draws =
       defects != nullptr ? fab::defect_draw_count(nanowires_) : 0;
   const std::size_t tail_draws = defect_draws + at_risk_.size();
-  if (defects != nullptr) defects->validate();
-  ensure(scratch.tail_uniforms, tail_draws);
-  if (scratch.disabled.size() < nanowires_) {
-    scratch.disabled.resize(nanowires_);
+
+  const auto ensure = [](auto& buffer, std::size_t size) {
+    if (buffer.size() < size) buffer.resize(size);
+  };
+  ensure(scratch.vt_lanes, cells * lane_stride);
+  ensure(scratch.alive, nanowires_ * words);
+  ensure(scratch.verdicts, nanowires_ * words);
+  ensure(scratch.tail_uniforms, count * tail_draws);
+  ensure(scratch.disabled, nanowires_);
+  double* slab = scratch.vt_lanes.data();
+  std::uint64_t* alive = scratch.alive.data();
+  std::uint64_t* verdicts = scratch.verdicts.data();
+
+  // Phase 1: every trial's deviates down its lane of the slab (cell k of
+  // trial first + t at slab[k * lane_stride + t]), then its tail uniforms
+  // -- the defect draws followed by one discard draw per at-risk
+  // nanowire, the words the scalar path consumes one bernoulli at a time.
+  standard_normal_block(run_key, first, count, cells, slab, lane_stride,
+                        tail_draws, scratch.tail_uniforms.data(),
+                        scratch.streams);
+
+  // Phase 2: survival lane masks -- every lane alive, then each trial's
+  // defect verdicts and discard draws clear its bit.
+  for (std::size_t i = 0; i < nanowires_; ++i) {
+    for (std::size_t w = 0; w < words; ++w) {
+      const std::size_t lanes = std::min<std::size_t>(64, count - 64 * w);
+      alive[i * words + w] = lanes == 64 ? ~0ULL : (1ULL << lanes) - 1;
+    }
   }
-  double* uniforms = scratch.tail_uniforms.data();
   std::uint8_t* disabled = scratch.disabled.data();
-  for (std::size_t k = 0; k < nanowires_ * lane_stride; ++k) {
-    active[k] = 1.0;
-  }
   for (std::size_t t = 0; t < count; ++t) {
-    block_rng& stream = scratch.streams[t];
-    if (tail_draws > 0) stream.canonical_fill(uniforms, tail_draws);
+    const double* uniforms = scratch.tail_uniforms.data() + t * tail_draws;
+    const std::uint64_t clear = ~(1ULL << (t % 64));
+    std::uint64_t* lane_word = alive + t / 64;
     if (defects != nullptr) {
       fab::defect_disables_from_uniforms(nanowires_, *defects, uniforms,
                                          disabled);
       for (std::size_t i = 0; i < nanowires_; ++i) {
-        if (disabled[i]) active[i * lane_stride + t] = 0.0;
+        if (disabled[i]) lane_word[i * words] &= clear;
       }
     }
     for (std::size_t k = 0; k < at_risk_.size(); ++k) {
       const std::size_t i = at_risk_[k];
       if (uniforms[defect_draws + k] < discard_probability_[i]) {
-        active[i * lane_stride + t] = 0.0;
+        lane_word[i * words] &= clear;
       }
     }
   }
 
-  // Phase 4: lane verdicts for every nanowire -- window rows one at a
-  // time, operational groups through the whole-contact-group kernel (one
-  // verdict row per member position, contiguous because the groups
-  // partition the member list) -- then one accumulation pass into per-lane
-  // good counts (exact: every term is 0.0 or 1.0 and the sum is at most N).
-  std::memset(good_lanes, 0, lane_stride * sizeof(double));
-  double* margin = scratch.margins.data();
-  double* verdicts = scratch.verdicts.data();
+  // Phase 3: realize V_T = nominal + sigma * sqrt(nu) * z -- the scalar
+  // path's per-cell expression -- and decide every nanowire's verdict lane
+  // masks.
+  ensure(scratch.cell_scales, cells);
+  double* scales = scratch.cell_scales.data();
+  for (std::size_t k = 0; k < cells; ++k) {
+    scales[k] = sigma_vt * noise_scale_[k];
+  }
   if (mode == mc_mode::window) {
+    for (std::size_t k = 0; k < cells; ++k) {
+      const double center = nominal_vt_[k];
+      const double scale = scales[k];
+      double* lane = slab + k * lane_stride;
+      for (std::size_t t = 0; t < count; ++t) {
+        lane[t] = center + scale * lane[t];
+      }
+    }
+    ensure(scratch.margins, 2 * lane_stride);
+    double* margin = scratch.margins.data();
+    double* verdict = margin + lane_stride;
     for (std::size_t i = 0; i < nanowires_; ++i) {
       decoder::window_margin_block(
           slab + i * regions_ * lane_stride, lane_stride, count,
           nominal_vt_.data() + i * regions_,
           window_low_guard_.data() + i * regions_, window_half_width_,
-          regions_, margin, verdicts + i * lane_stride);
-    }
-    for (std::size_t i = 0; i < nanowires_; ++i) {
-      const double* survivors = active + i * lane_stride;
-      const double* verdict = verdicts + i * lane_stride;
+          regions_, margin, verdict);
+      std::uint64_t* row = verdicts + i * words;
+      for (std::size_t w = 0; w < words; ++w) row[w] = 0;
       for (std::size_t t = 0; t < count; ++t) {
-        good_lanes[t] += survivors[t] * verdict[t];
+        row[t / 64] |= static_cast<std::uint64_t>(verdict[t] > 0.0)
+                       << (t % 64);
       }
     }
   } else {
+    // The compare pass realizes each lane row on the fly, so the slab is
+    // read once and V_T is never stored.
+    const std::size_t levels = drive_levels_.size();
+    ensure(scratch.below, cells * levels * words);
+    decoder::below_level_masks(slab, lane_stride, cells, count,
+                               nominal_vt_.data(), scales,
+                               drive_levels_.data(), levels,
+                               scratch.below.data());
+    // The groups partition members_, so group g's verdict rows land at
+    // their member positions; counting below maps them back to nanowires.
     const std::size_t groups = member_offsets_.size() - 1;
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t begin = member_offsets_[g];
-      decoder::addressable_group_block(
-          drive_table_.data(), slab, lane_stride, regions_, count,
-          members_.data() + begin, member_offsets_[g + 1] - begin, margin,
-          verdicts + begin * lane_stride, lane_stride);
-    }
-    for (std::size_t k = 0; k < nanowires_; ++k) {
-      const double* survivors = active + members_[k] * lane_stride;
-      const double* verdict = verdicts + k * lane_stride;
-      for (std::size_t t = 0; t < count; ++t) {
-        good_lanes[t] += survivors[t] * verdict[t];
-      }
+      decoder::addressable_group_masks(
+          scratch.below.data(), design_.pattern().row_ptr(0), regions_,
+          levels, words, members_.data() + begin,
+          member_offsets_[g + 1] - begin, verdicts + begin * words);
     }
   }
-  for (std::size_t t = 0; t < count; ++t) {
-    good[t] = static_cast<std::uint32_t>(good_lanes[t]);
+
+  // Count each trial's surviving addressable nanowires from the set bits.
+  for (std::size_t t = 0; t < count; ++t) good[t] = 0;
+  for (std::size_t k = 0; k < nanowires_; ++k) {
+    const std::size_t i = mode == mc_mode::window ? k : members_[k];
+    for (std::size_t w = 0; w < words; ++w) {
+      std::uint64_t bits = verdicts[k * words + w] & alive[i * words + w];
+      while (bits != 0) {
+        ++good[64 * w + static_cast<std::size_t>(std::countr_zero(bits))];
+        bits &= bits - 1;
+      }
+    }
   }
 }
 

@@ -2,14 +2,10 @@
 // engine.
 //
 // One Monte-Carlo trial fabricates a virtual half cave and asks, nanowire
-// by nanowire, whether it decodes. The legacy loop re-derived per-address
-// state inside the trial: a code_word per row, a fresh drive-voltage vector
-// per address, and a copied V_T row per conductance check -- and it walked
-// the whole MSPT flow op by op, drawing one Gaussian per dose received.
-// trial_context hoists everything that depends only on the *design* out of
-// the trial:
+// by nanowire, whether it decodes. trial_context hoists everything that
+// depends only on the *design* out of the trial:
 //   * a flat row-major drive-voltage table (row i = the mesowire voltages
-//     driving nanowire i's own address),
+//     driving nanowire i's own address) and the radix's drive levels,
 //   * a flat nominal-V_T table (the window criterion's reference levels),
 //   * a flat noise-scale table sqrt(nu(i,j)) from the dose-count matrix:
 //     region (i,j) receives nu(i,j) independent N(0, sigma) dose
@@ -18,9 +14,26 @@
 //     the same V_T distribution the op-by-op walk samples,
 //   * contact-group member lists in one flat offsets+indices layout,
 //   * per-nanowire discard probabilities.
-// run_trial then touches only these tables plus a caller-owned
-// trial_scratch, so the inner loop performs no heap allocation and is safe
-// to run from many threads at once (the context is immutable after
+//
+// run_trial is the scalar per-trial path and the oracle; run_trial_block
+// runs a block of trials as lanes, in three phases:
+//   1. deviates: standard_normal_block seeds and twists every trial's
+//      mt19937_64 stream lane-parallel and writes each trial's N*M normals
+//      down its lane of a structure-of-arrays slab, then the trial's tail
+//      uniforms (defect and discard draws);
+//   2. survival: the tail uniforms become per-nanowire lane masks;
+//   3. verdicts: V_T = nominal + sigma * sqrt(nu) * z, the scalar path's
+//      expression. The operational criterion realizes each (nanowire,
+//      region) lane row and compares it with every drive level in one pass
+//      (below_level_masks); a contact group's verdicts are then ANDs and
+//      ORs of those lane masks (addressable_group_masks) -- exact, because
+//      the drive levels are finite and strictly increasing, so "gate > vt"
+//      is the only question the scalar rule asks. The window criterion
+//      realizes the slab in place and sweeps margins per nanowire.
+//      Survivors' verdict bits are counted per lane.
+// Both paths touch only these tables plus a caller-owned trial_scratch,
+// so the inner loops perform no heap allocation once warm and are safe to
+// run from many threads at once (the context is immutable after
 // construction; each worker owns its scratch).
 #pragma once
 
@@ -45,26 +58,25 @@ enum class mc_mode {
 
 /// Reusable per-thread buffers for run_trial and run_trial_block;
 /// allocation-free after the first trial (or block) warms them to full
-/// size. The blocked members are structure-of-arrays slabs: `vt_lanes`
-/// holds the realized V_T of a whole trial block, cell (i, j) of trial t
-/// at vt_lanes[(i * regions + j) * lane_stride + t], so one drive row can
-/// sweep every trial lane of a nanowire with contiguous, vectorizable
-/// loads; `active_lanes` is the per-(nanowire, trial) survival mask (1.0
-/// when neither discarded nor defective -- a multiplication-ready lane
-/// mask); `streams` carries each trial's generator from the deviate fill
-/// to its tail draws.
+/// size. `vt_lanes` holds a whole trial block's standard deviates, cell
+/// (i, j) of trial t at vt_lanes[(i * regions + j) * lane_stride + t]
+/// (realized to V_T in place by the window criterion; the operational
+/// compare pass realizes them on the fly).
+/// Lane masks hold trial t at bit t % 64 of word t / 64 of a row of
+/// ceil(count / 64) words.
 struct trial_scratch {
   matrix<double> realized_vt;
   fab::defect_map defects;
 
-  std::vector<double> vt_lanes;       ///< cells x lane_stride slab
-  std::vector<double> active_lanes;   ///< nanowires x lane_stride
-  std::vector<double> margins;        ///< (nanowires + 1) x lane_stride
-  std::vector<double> verdicts;       ///< nanowires x lane_stride lane masks
-  std::vector<double> good_lanes;     ///< per-lane addressable counts
-  std::vector<block_rng> streams;     ///< one per trial lane
-  std::vector<double> tail_uniforms;  ///< one trial's bulk tail draws
-  std::vector<std::uint8_t> disabled; ///< per-nanowire defect verdicts
+  std::vector<double> vt_lanes;        ///< cells x lane_stride slab
+  std::vector<std::uint64_t> below;    ///< cells x drive levels lane masks
+  std::vector<std::uint64_t> alive;    ///< per-nanowire survival lane masks
+  std::vector<std::uint64_t> verdicts; ///< per-nanowire verdict lane masks
+  std::vector<double> cell_scales;     ///< per-cell sigma * sqrt(nu)
+  std::vector<double> margins;         ///< window: margin + verdict rows
+  lane_rng_scratch streams;            ///< the block's generator state
+  std::vector<double> tail_uniforms;   ///< trials x tail draws
+  std::vector<std::uint8_t> disabled;  ///< per-nanowire defect verdicts
 };
 
 /// Immutable precomputed view of one (design, contact plan) pair, shared by
@@ -98,14 +110,13 @@ class trial_context {
   /// keyed by `run_key` -- trial i consuming the stream
   /// rng::from_counter(run_key, i), exactly as run_trial does -- and writes
   /// trial first + t's addressable count into good[t]. Bit-identical to
-  /// `count` scalar run_trial calls for every count: the batched generator
-  /// (standard_normal_block) reproduces each trial's deviates and tail
-  /// draws draw for draw, the V_T transform applies the same expression per
-  /// cell, and the lane kernels decide the same comparisons. The speedup
-  /// comes from structure (one deviate pass straight into a
-  /// structure-of-arrays slab, conductance margins swept across all trial
-  /// lanes of a nanowire at once, branch-free bodies), not from changing
-  /// any draw or any verdict.
+  /// `count` scalar run_trial calls for every count: standard_normal_block
+  /// reproduces each trial's deviates and tail draws draw for draw, the
+  /// V_T transform applies the same expression per cell, and the lane
+  /// masks record the same comparisons (see the header comment). The
+  /// speedup comes from structure -- lane-parallel stream seeding and
+  /// twisting, one compare pass per (row, region, level), verdicts as
+  /// bitwise ANDs and ORs -- not from changing any draw or any verdict.
   void run_trial_block(std::uint64_t run_key, std::uint64_t first,
                        std::size_t count, trial_scratch& scratch, mc_mode mode,
                        double sigma_vt, const fab::defect_params* defects,
@@ -123,6 +134,7 @@ class trial_context {
   double window_half_width_ = 0.0;
 
   std::vector<double> drive_table_;    ///< N x M, row i = drive of address i
+  std::vector<double> drive_levels_;   ///< drive voltage of each digit value
   std::vector<double> nominal_vt_;     ///< N x M nominal levels
   std::vector<double> noise_scale_;    ///< N x M, sqrt(nu(i,j))
   /// N x M lower window guards: -window_half_width where the digit has

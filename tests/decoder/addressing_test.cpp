@@ -14,6 +14,7 @@
 #include "util/cpu.h"
 #include "util/error.h"
 #include "util/rng.h"
+#include "margin_oracles.h"
 
 namespace nwdec::decoder {
 namespace {
@@ -165,8 +166,9 @@ TEST(AddressTableTest, NonAntichainInputRejected) {
   EXPECT_THROW(address_table({}), invalid_argument_error);
 }
 
-// --- blocked span kernels: every lane verdict must equal the scalar
-// voltage rule on that lane's row.
+// --- the test kit's margin oracles (the reference the lane-mask verdicts
+// are checked against) and the dispatched window kernel: every lane
+// verdict must equal the scalar voltage rule on that lane's row.
 
 // Random structure-of-arrays slab: region j of nanowire r, lane t at
 // slab[(r * regions + j) * lane_stride + t].
@@ -207,10 +209,9 @@ TEST(ConductsBlockTest, MatchesScalarRuleLaneByLane) {
     for (const std::size_t lanes : {1UL, 3UL, 8UL, 33UL}) {
       lane_fixture f(2, regions, lanes, 101 + regions * lanes, 3);
       std::vector<std::uint8_t> out(lanes, 2);
-      const bool any = conducts_block(f.drive(1), f.slab.data() +
-                                          1 * regions * f.lane_stride,
-                                      f.lane_stride, regions, lanes,
-                                      out.data());
+      const bool any = testkit::conducts_block(
+          f.drive(1), f.slab.data() + 1 * regions * f.lane_stride,
+          f.lane_stride, regions, lanes, out.data());
       bool expected_any = false;
       for (std::size_t t = 0; t < lanes; ++t) {
         const std::vector<double> row = f.lane_row(1, t);
@@ -230,9 +231,9 @@ TEST(AddressableBlockTest, MatchesScalarGroupRule) {
   const std::vector<std::size_t> members = {0, 1, 2, 3, 4, 5};
   for (std::size_t self = 0; self < rows; ++self) {
     std::vector<double> scratch(2 * lanes), out(lanes, -1.0);
-    addressable_block(f.drive(self), f.slab.data(), f.lane_stride, regions,
-                      lanes, self, members.data(), members.size(),
-                      scratch.data(), out.data());
+    testkit::addressable_block(f.drive(self), f.slab.data(), f.lane_stride,
+                               regions, lanes, self, members.data(),
+                               members.size(), scratch.data(), out.data());
     for (std::size_t t = 0; t < lanes; ++t) {
       const std::vector<double> own = f.lane_row(self, t);
       bool expected = conducts(own.data(), f.drive(self), regions);
@@ -252,14 +253,15 @@ TEST(AddressableBlockTest, EmptyAndSelfOnlyGroups) {
   lane_fixture f(2, regions, lanes, 99);
   std::vector<double> scratch(2 * lanes), no_members(lanes), self_only(lanes);
   // No members at all: the verdict is the bare self conduction.
-  addressable_block(f.drive(0), f.slab.data(), f.lane_stride, regions, lanes,
-                    0, nullptr, 0, scratch.data(), no_members.data());
+  testkit::addressable_block(f.drive(0), f.slab.data(), f.lane_stride,
+                             regions, lanes, 0, nullptr, 0, scratch.data(),
+                             no_members.data());
   // A group whose only member is the addressee behaves identically.
   const std::size_t self_member[] = {0};
   std::vector<double> group_scratch(2 * lanes);
-  addressable_block(f.drive(0), f.slab.data(), f.lane_stride, regions, lanes,
-                    0, self_member, 1, group_scratch.data(),
-                    self_only.data());
+  testkit::addressable_block(f.drive(0), f.slab.data(), f.lane_stride,
+                             regions, lanes, 0, self_member, 1,
+                             group_scratch.data(), self_only.data());
   for (std::size_t t = 0; t < lanes; ++t) {
     const std::vector<double> row = f.lane_row(0, t);
     const double expected =
@@ -277,14 +279,16 @@ TEST(AddressableGroupBlockTest, MatchesPerMemberBlocks) {
     const std::vector<std::size_t> members = {0, 1, 2, 4, 5, 6};
     std::vector<double> group_scratch((members.size() + 1) * lanes);
     std::vector<double> group_out(members.size() * lanes, -1.0);
-    addressable_group_block(f.drives.data(), f.slab.data(), f.lane_stride,
-                            regions, lanes, members.data(), members.size(),
-                            group_scratch.data(), group_out.data(), lanes);
+    testkit::addressable_group_block(
+        f.drives.data(), f.slab.data(), f.lane_stride, regions, lanes,
+        members.data(), members.size(), group_scratch.data(),
+        group_out.data(), lanes);
     for (std::size_t k = 0; k < members.size(); ++k) {
       std::vector<double> scratch(2 * lanes), expected(lanes);
-      addressable_block(f.drive(members[k]), f.slab.data(), f.lane_stride,
-                        regions, lanes, members[k], members.data(),
-                        members.size(), scratch.data(), expected.data());
+      testkit::addressable_block(f.drive(members[k]), f.slab.data(),
+                                 f.lane_stride, regions, lanes, members[k],
+                                 members.data(), members.size(),
+                                 scratch.data(), expected.data());
       for (std::size_t t = 0; t < lanes; ++t) {
         EXPECT_EQ(group_out[k * lanes + t], expected[t])
             << "member " << k << " lane " << t;
@@ -301,9 +305,10 @@ TEST(AddressableGroupBlockTest, AllBlockedGroupZeroesEveryLane) {
   const std::vector<std::size_t> members = {0, 1, 2};
   std::vector<double> scratch((members.size() + 1) * lanes);
   std::vector<double> out(members.size() * lanes, -1.0);
-  addressable_group_block(f.drives.data(), f.slab.data(), f.lane_stride,
-                          regions, lanes, members.data(), members.size(),
-                          scratch.data(), out.data(), lanes);
+  testkit::addressable_group_block(f.drives.data(), f.slab.data(),
+                                   f.lane_stride, regions, lanes,
+                                   members.data(), members.size(),
+                                   scratch.data(), out.data(), lanes);
   for (const double verdict : out) EXPECT_EQ(verdict, 0.0);
 }
 
@@ -343,8 +348,9 @@ TEST(WindowMarginBlockTest, MatchesScalarWindowRule) {
 }
 
 TEST(BlockKernelDispatchTest, EveryPathBitIdenticalToScalar) {
-  // The margin kernels through every compiled-and-supported dispatch path
-  // must produce byte-identical verdicts and margins. scalar is the oracle.
+  // The dispatched lane kernels through every compiled-and-supported path
+  // must produce byte-identical masks, verdicts and margins. scalar is the
+  // oracle.
   struct path_guard {
     cpu::simd_path saved = cpu::active_path();
     ~path_guard() { cpu::force_path(saved); }
@@ -353,32 +359,35 @@ TEST(BlockKernelDispatchTest, EveryPathBitIdenticalToScalar) {
   const std::size_t rows = 6, regions = 3, lanes = 33;
   lane_fixture f(rows, regions, lanes, 2026, 7);
   const std::vector<std::size_t> members = {0, 1, 2, 3, 4, 5};
+  const std::vector<double> levels = {0.25, 0.5, 0.75};
+  std::vector<double> offsets(rows * regions), scales(rows * regions);
+  for (std::size_t r = 0; r < rows * regions; ++r) {
+    offsets[r] = 0.01 * static_cast<double>(r);
+    scales[r] = 0.9 + 0.02 * static_cast<double>(r);
+  }
+  std::vector<codes::digit> digits(rows * regions);
+  for (std::size_t k = 0; k < digits.size(); ++k) {
+    digits[k] = static_cast<codes::digit>((k * 7 + 1) % levels.size());
+  }
   const double whw = 0.04;
   std::vector<double> low_guard(regions, -whw);
   low_guard[1] = -std::numeric_limits<double>::infinity();
 
   struct outputs {
-    std::vector<std::uint8_t> conducts;
-    bool any = false;
-    std::vector<double> addressable;
-    std::vector<double> group;
+    std::vector<std::uint64_t> below;
+    std::vector<std::uint64_t> group;
     std::vector<double> window_margin, window_out;
   };
   const auto run = [&] {
     outputs o;
-    o.conducts.assign(lanes, 2);
-    o.any = conducts_block(f.drive(1), f.slab.data() + regions * f.lane_stride,
-                           f.lane_stride, regions, lanes, o.conducts.data());
-    std::vector<double> scratch(2 * lanes);
-    o.addressable.assign(lanes, -1.0);
-    addressable_block(f.drive(2), f.slab.data(), f.lane_stride, regions,
-                      lanes, 2, members.data(), members.size(),
-                      scratch.data(), o.addressable.data());
-    std::vector<double> group_scratch((members.size() + 1) * lanes);
-    o.group.assign(members.size() * lanes, -1.0);
-    addressable_group_block(f.drives.data(), f.slab.data(), f.lane_stride,
-                            regions, lanes, members.data(), members.size(),
-                            group_scratch.data(), o.group.data(), lanes);
+    o.below.assign(rows * regions * levels.size(), 0);
+    below_level_masks(f.slab.data(), f.lane_stride, rows * regions, lanes,
+                      offsets.data(), scales.data(), levels.data(),
+                      levels.size(), o.below.data());
+    o.group.assign(members.size(), 0);
+    addressable_group_masks(o.below.data(), digits.data(), regions,
+                            levels.size(), 1, members.data(), members.size(),
+                            o.group.data());
     o.window_margin.assign(lanes, -1.0);
     o.window_out.assign(lanes, -1.0);
     window_margin_block(f.slab.data(), f.lane_stride, lanes, f.drive(0),
@@ -393,9 +402,7 @@ TEST(BlockKernelDispatchTest, EveryPathBitIdenticalToScalar) {
     cpu::force_path(path);
     const outputs got = run();
     const char* name = cpu::simd_path_name(path);
-    ASSERT_EQ(oracle.conducts, got.conducts) << name;
-    EXPECT_EQ(oracle.any, got.any) << name;
-    ASSERT_EQ(oracle.addressable, got.addressable) << name;
+    ASSERT_EQ(oracle.below, got.below) << name;
     ASSERT_EQ(oracle.group, got.group) << name;
     ASSERT_EQ(oracle.window_margin, got.window_margin) << name;
     ASSERT_EQ(oracle.window_out, got.window_out) << name;

@@ -199,7 +199,7 @@ TEST(DurableCrashTest, KillAtEveryFailpointRecoversCommittedStateExactly) {
     recovery_report report;
     ASSERT_NO_THROW(report = durable.open(recovered, kHeader));
     for (const auto& [fingerprint, golden] : committed) {
-      const stored_result* found = recovered.find(fingerprint);
+      const auto found = recovered.find(fingerprint);
       ASSERT_NE(found, nullptr)
           << "committed entry " << fingerprint << " lost";
       EXPECT_EQ(render_entry(fingerprint, *found), golden);

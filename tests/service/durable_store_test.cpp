@@ -401,7 +401,7 @@ TEST(DurableStoreTest, ServiceEnableDurabilityPersistsAcrossRestart) {
     const sweep_response response = service.evaluate({point});
     EXPECT_EQ(response.computed, 1u);
     json_writer json;
-    write_stored_result(json, response.points[0].result);
+    write_stored_result(json, *response.points[0].result);
     cold_payload = json.str();
     // No flush: durability is the WAL alone.
   }
@@ -417,7 +417,7 @@ TEST(DurableStoreTest, ServiceEnableDurabilityPersistsAcrossRestart) {
   EXPECT_EQ(warm.cached, 1u);
   EXPECT_EQ(warm.computed, 0u);
   json_writer json;
-  write_stored_result(json, warm.points[0].result);
+  write_stored_result(json, *warm.points[0].result);
   EXPECT_EQ(json.str(), cold_payload);
 }
 

@@ -83,9 +83,9 @@ TEST(SweepServiceTest, MatchesTheEngineDirectly) {
   const core::sweep_engine_report direct =
       engine.run({point(0.05, 120)}, engine_options);
   const sweep_response served = service.evaluate({point(0.05, 120)});
-  EXPECT_EQ(served.points[0].result.evaluation.mc_nanowire_yield,
+  EXPECT_EQ(served.points[0].result->evaluation.mc_nanowire_yield,
             direct.entries[0].evaluation.mc_nanowire_yield);
-  EXPECT_EQ(served.points[0].result.evaluation.nanowire_yield,
+  EXPECT_EQ(served.points[0].result->evaluation.nanowire_yield,
             direct.entries[0].evaluation.nanowire_yield);
 }
 
@@ -95,8 +95,8 @@ TEST(SweepServiceTest, DuplicatePointsComputeOnce) {
       service.evaluate({point(0.05, 60), point(0.05, 60), point(0.04)});
   EXPECT_EQ(response.computed, 3u);  // three slots answered...
   EXPECT_EQ(service.store().size(), 2u);  // ...from two computations
-  EXPECT_EQ(response.points[0].result.evaluation.mc_nanowire_yield,
-            response.points[1].result.evaluation.mc_nanowire_yield);
+  EXPECT_EQ(response.points[0].result->evaluation.mc_nanowire_yield,
+            response.points[1].result->evaluation.mc_nanowire_yield);
 }
 
 TEST(SweepServiceTest, MixedHitMissRequestsKeepRequestOrder) {
@@ -108,9 +108,9 @@ TEST(SweepServiceTest, MixedHitMissRequestsKeepRequestOrder) {
   EXPECT_EQ(response.computed, 2u);
   EXPECT_EQ(response.points[0].source, point_source::computed);
   EXPECT_EQ(response.points[1].source, point_source::cached);
-  EXPECT_EQ(response.points[0].result.request.sigma_vt, 0.04);
-  EXPECT_EQ(response.points[1].result.request.sigma_vt, 0.05);
-  EXPECT_EQ(response.points[2].result.request.sigma_vt, 0.06);
+  EXPECT_EQ(response.points[0].result->request.sigma_vt, 0.04);
+  EXPECT_EQ(response.points[1].result->request.sigma_vt, 0.05);
+  EXPECT_EQ(response.points[2].result->request.sigma_vt, 0.06);
 }
 
 TEST(SweepServiceTest, PersistedCacheReproducesPayloadsByteIdentically) {

@@ -67,7 +67,7 @@ TEST(ResultStoreTest, FindMissesThenHitsAfterInsert) {
   const stored_result result = make_result(0.05, 150);
   EXPECT_EQ(store.find(key_of(result)), nullptr);
   store.insert(key_of(result), result);
-  const stored_result* hit = store.find(key_of(result));
+  const auto hit = store.find(key_of(result));
   ASSERT_NE(hit, nullptr);
   EXPECT_EQ(hit->evaluation.nanowire_yield,
             result.evaluation.nanowire_yield);

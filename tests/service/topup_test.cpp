@@ -62,20 +62,20 @@ TEST(TopUpTest, TightenedTargetResumesAndMatchesColdBitwise) {
   sweep_service warm = make_service();
   const sweep_response loose = warm.evaluate({cliff_point()}, 0.05);
   EXPECT_EQ(loose.computed, 1u);
-  const std::size_t loose_trials = loose.points[0].result.mc_trials_used;
+  const std::size_t loose_trials = loose.points[0].result->mc_trials_used;
 
   const sweep_response tightened = warm.evaluate({cliff_point()}, 0.01);
   EXPECT_EQ(tightened.topped_up, 1u);
   EXPECT_EQ(tightened.computed, 0u);
   EXPECT_EQ(tightened.points[0].source, point_source::topped_up);
-  EXPECT_GT(tightened.points[0].result.mc_trials_used, loose_trials);
+  EXPECT_GT(tightened.points[0].result->mc_trials_used, loose_trials);
 
   sweep_service cold = make_service();
   const sweep_response direct = cold.evaluate({cliff_point()}, 0.01);
   EXPECT_EQ(to_json(tightened), to_json(direct));  // bit-identical payloads
 
   // The served result honors the target.
-  const stored_result& result = tightened.points[0].result;
+  const stored_result& result = *tightened.points[0].result;
   const double trials = static_cast<double>(result.mc_trials_used);
   EXPECT_LE(wilson_half_width(result.evaluation.mc_nanowire_yield * trials,
                               trials),
@@ -85,14 +85,14 @@ TEST(TopUpTest, TightenedTargetResumesAndMatchesColdBitwise) {
 TEST(TopUpTest, PartialEntryResumesToTheCapForFixedRequests) {
   sweep_service warm = make_service();
   const sweep_response partial = warm.evaluate({cliff_point(4000)}, 0.05);
-  ASSERT_LT(partial.points[0].result.mc_trials_used, 4000u);
+  ASSERT_LT(partial.points[0].result->mc_trials_used, 4000u);
 
   // A fixed-budget request for the same (point, cap) must answer with the
   // state at exactly the cap -- resumed from the partial entry, bitwise
   // equal to a cold fixed run.
   const sweep_response topped = warm.evaluate({cliff_point(4000)});
   EXPECT_EQ(topped.topped_up, 1u);
-  EXPECT_EQ(topped.points[0].result.mc_trials_used, 4000u);
+  EXPECT_EQ(topped.points[0].result->mc_trials_used, 4000u);
 
   sweep_service cold = make_service();
   const sweep_response fixed = cold.evaluate({cliff_point(4000)});
@@ -151,13 +151,13 @@ TEST(TopUpTest, TopsUpAcrossProcessRestarts) {
     sweep_service first = make_service();
     make_durable(first, cache.path());
     const sweep_response loose = first.evaluate({cliff_point()}, 0.05);
-    loose_trials = loose.points[0].result.mc_trials_used;
+    loose_trials = loose.points[0].result->mc_trials_used;
   }
   sweep_service second = make_service();
   ASSERT_EQ(make_durable(second, cache.path()).log_records, 1u);
   const sweep_response tightened = second.evaluate({cliff_point()}, 0.01);
   EXPECT_EQ(tightened.topped_up, 1u);
-  EXPECT_GT(tightened.points[0].result.mc_trials_used, loose_trials);
+  EXPECT_GT(tightened.points[0].result->mc_trials_used, loose_trials);
 
   sweep_service cold = make_service();
   EXPECT_EQ(to_json(tightened), to_json(cold.evaluate({cliff_point()}, 0.01)));
@@ -172,7 +172,7 @@ TEST(TopUpTest, PersistedEntriesCarryTheResumableState) {
   result_store restored;
   restored.load_json(read_file(cache.path()).value(), service.header());
   const core::sweep_request resolved = service.resolve(cliff_point());
-  const stored_result* entry =
+  const auto entry =
       restored.find(core::fingerprint(resolved));
   ASSERT_NE(entry, nullptr);
   EXPECT_GT(entry->mc_m2, 0.0);           // Welford M2 round-tripped

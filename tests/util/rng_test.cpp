@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "util/cpu.h"
@@ -165,17 +166,25 @@ TEST(BlockRngTest, RawOutputMatchesStdMt19937_64) {
   }
 }
 
-TEST(BlockRngTest, SeedBlockMatchesIndividualSeeding) {
-  // The interleaved bulk initialization must produce the exact state the
-  // one-at-a-time path does, including the non-multiple-of-four tail.
+TEST(BlockRngTest, LaneSeedingMatchesIndividualSeeding) {
+  // The lane-parallel initialization must produce the exact streams the
+  // one-at-a-time path does, including a partial last lane group: with no
+  // deviates, the tail draws are the streams' first canonicals.
   std::vector<std::uint64_t> seeds;
-  for (std::uint64_t s = 0; s < 7; ++s) seeds.push_back(1000 + 17 * s);
-  std::vector<block_rng> bulk(seeds.size());
-  block_rng::seed_block(bulk.data(), seeds.data(), seeds.size());
+  for (std::uint64_t s = 0; s < 13; ++s) {
+    seeds.push_back(rng::counter_seed(31, 4 + s));
+  }
+  const std::size_t tail = 1000;
+  std::vector<double> uniforms(seeds.size() * tail);
+  std::vector<double> no_deviates(1);
+  lane_rng_scratch scratch;
+  standard_normal_block(31, 4, seeds.size(), 0, no_deviates.data(),
+                        seeds.size(), tail, uniforms.data(), scratch);
   for (std::size_t e = 0; e < seeds.size(); ++e) {
     block_rng single(seeds[e]);
-    for (int i = 0; i < 1000; ++i) {
-      ASSERT_EQ(single.next(), bulk[e].next()) << "engine " << e;
+    for (std::size_t i = 0; i < tail; ++i) {
+      ASSERT_EQ(single.canonical(), uniforms[e * tail + i])
+          << "engine " << e << " draw " << i;
     }
   }
 }
@@ -294,11 +303,12 @@ TEST(BlockRngTest, BulkFillsAreBitIdenticalAcrossSimdPaths) {
 
 TEST(BlockRngTest, StandardNormalBlockMatchesPerTrialStreams) {
   const std::uint64_t key = 77;
-  const std::size_t trials = 11, count = 23, lane_stride = 16;
+  const std::size_t trials = 11, count = 23, lane_stride = 16, tail = 9;
   std::vector<double> lanes(count * lane_stride, 0.0);
-  std::vector<block_rng> tails(trials);
+  std::vector<double> tails(trials * tail);
+  lane_rng_scratch scratch;
   standard_normal_block(key, 5, trials, count, lanes.data(), lane_stride,
-                        tails.data());
+                        tail, tails.data(), scratch);
   for (std::size_t t = 0; t < trials; ++t) {
     rng reference = rng::from_counter(key, 5 + t);
     std::vector<double> expected(count);
@@ -307,8 +317,100 @@ TEST(BlockRngTest, StandardNormalBlockMatchesPerTrialStreams) {
       ASSERT_EQ(expected[k], lanes[k * lane_stride + t])
           << "trial " << t << " deviate " << k;
     }
-    // tails[t] continues trial t's stream exactly where rng would.
-    EXPECT_EQ(reference.engine()(), tails[t].next()) << "trial " << t;
+    // The tail uniforms continue trial t's stream exactly where rng would.
+    for (std::size_t k = 0; k < tail; ++k) {
+      ASSERT_EQ(reference.uniform(), tails[t * tail + k])
+          << "trial " << t << " tail " << k;
+    }
+  }
+}
+
+// --- the lane-parallel streams (standard_normal_block) against
+// std::mt19937_64 through rng, on every dispatch path.
+
+// Checks one block: every lane's deviates against rng::standard_normal_fill
+// and its tail uniforms against the draws rng makes next.
+void expect_block_matches_rng(std::uint64_t key, std::uint64_t first,
+                              std::size_t trials, std::size_t count,
+                              std::size_t tail, const std::string& what) {
+  const std::size_t lane_stride = trials + 3;
+  std::vector<double> lanes(count * lane_stride, -7.0);
+  std::vector<double> tails(trials * tail, -7.0);
+  lane_rng_scratch scratch;
+  standard_normal_block(key, first, trials, count, lanes.data(), lane_stride,
+                        tail, tails.data(), scratch);
+  for (std::size_t t = 0; t < trials; ++t) {
+    rng reference = rng::from_counter(key, first + t);
+    std::vector<double> expected(count);
+    reference.standard_normal_fill(expected.data(), count);
+    for (std::size_t k = 0; k < count; ++k) {
+      ASSERT_EQ(expected[k], lanes[k * lane_stride + t])
+          << what << " trial " << t << " deviate " << k;
+    }
+    for (std::size_t k = 0; k < tail; ++k) {
+      ASSERT_EQ(reference.uniform(), tails[t * tail + k])
+          << what << " trial " << t << " tail " << k;
+    }
+  }
+  // Padding lanes past `trials` are never written.
+  for (std::size_t k = 0; k < count; ++k) {
+    for (std::size_t t = trials; t < lane_stride; ++t) {
+      ASSERT_EQ(lanes[k * lane_stride + t], -7.0) << what;
+    }
+  }
+}
+
+struct path_guard {
+  cpu::simd_path saved = cpu::active_path();
+  ~path_guard() { cpu::force_path(saved); }
+};
+
+TEST(LaneStreamTest, EveryLaneCountMatchesRngOnEveryPath) {
+  path_guard restore;
+  for (const cpu::simd_path path : cpu::available_paths()) {
+    cpu::force_path(path);
+    for (std::size_t trials = 1; trials <= 64; ++trials) {
+      expect_block_matches_rng(0x5eedULL + trials, 3 * trials, trials, 31, 5,
+                               std::string(cpu::simd_path_name(path)) +
+                                   " trials " + std::to_string(trials));
+    }
+  }
+}
+
+TEST(LaneStreamTest, FillsAcrossTheTwistRoundMatchRng) {
+  // 200 deviates consume ~255 words, so lanes finish on both sides of the
+  // 312-word round; 400 and 1001 deviates cross one and three rounds; the
+  // long tails cross a round boundary on their own, at odd positions.
+  path_guard restore;
+  for (const cpu::simd_path path : cpu::available_paths()) {
+    cpu::force_path(path);
+    const std::string name = cpu::simd_path_name(path);
+    expect_block_matches_rng(2009, 0, 32, 200, 41, name + " 200");
+    expect_block_matches_rng(2010, 7, 19, 400, 3, name + " 400");
+    expect_block_matches_rng(2011, 100, 9, 1001, 0, name + " 1001");
+    expect_block_matches_rng(2012, 1, 8, 1, 700, name + " tail 700");
+  }
+}
+
+TEST(LaneStreamTest, ScratchReuseAcrossBlockShapes) {
+  // One scratch serving blocks of different widths and lengths, as a
+  // worker's trial_scratch does, leaks no state between blocks.
+  lane_rng_scratch scratch;
+  for (const std::size_t trials : {40UL, 3UL, 17UL}) {
+    const std::size_t count = 50 + trials;
+    std::vector<double> lanes(count * trials);
+    std::vector<double> tails(trials * 2);
+    standard_normal_block(9, trials, trials, count, lanes.data(), trials, 2,
+                          tails.data(), scratch);
+    for (std::size_t t = 0; t < trials; ++t) {
+      rng reference = rng::from_counter(9, trials + t);
+      std::vector<double> expected(count);
+      reference.standard_normal_fill(expected.data(), count);
+      for (std::size_t k = 0; k < count; ++k) {
+        ASSERT_EQ(expected[k], lanes[k * trials + t]) << trials;
+      }
+      ASSERT_EQ(reference.uniform(), tails[2 * t]) << trials;
+    }
   }
 }
 

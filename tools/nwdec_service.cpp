@@ -66,6 +66,7 @@
 #include "service/durable_store.h"
 #include "service/sweep_service.h"
 #include "util/cli.h"
+#include "util/cpu.h"
 #include "util/error.h"
 #include "util/failpoint.h"
 #include "util/log.h"
@@ -198,6 +199,21 @@ int main(int argc, char** argv) {
     // Fault injection for the crash-safety tests and CI smoke: inert (and
     // free) unless NWDEC_FAILPOINT is set in the environment.
     failpoints::arm_from_env();
+
+    // The kernel dispatch path this process runs (NWDEC_SIMD_PATH
+    // honored) and every path it could run; CI's forced-path matrix takes
+    // its path list from this record. The path is resolved before the
+    // record opens, so a bad NWDEC_SIMD_PATH ends in the fatal record
+    // alone.
+    const char* active = cpu::simd_path_name(cpu::active_path());
+    std::string available;
+    for (const cpu::simd_path path : cpu::available_paths()) {
+      if (!available.empty()) available += ",";
+      available += cpu::simd_path_name(path);
+    }
+    logging::event(logging::level::info, "daemon", "simd_dispatch")
+        .field("path", active)
+        .field("available", available);
 
     service::service_options options;
     options.threads = get_size(cli, "threads");

@@ -238,9 +238,9 @@ int main(int argc, char** argv) {
       report.entries.reserve(response.points.size());
       for (const service::sweep_response_entry& entry : response.points) {
         core::sweep_engine_entry synthesized;
-        synthesized.request = entry.result.request;
-        synthesized.evaluation = entry.result.evaluation;
-        synthesized.mc_trials_used = entry.result.mc_trials_used;
+        synthesized.request = entry.result->request;
+        synthesized.evaluation = entry.result->evaluation;
+        synthesized.mc_trials_used = entry.result->mc_trials_used;
         report.entries.push_back(std::move(synthesized));
       }
     }
