@@ -283,6 +283,11 @@ int main(int argc, char** argv) {
             << (kernel_identical ? "bit-identical" : "DIVERGED (BUG)") << ", "
             << (kernel_fast_enough ? "meets" : "MISSES") << " the "
             << format_fixed(kernel_gate, 1) << "x gate)\n";
+  // Lanes the verdict certificate re-derived from the exact per-trial
+  // stream over every batched pass above (expected 0 away from a
+  // contrived threshold hit).
+  std::cout << "certificate fallback lanes: " << scratch.fallback_lanes
+            << "\n";
 
   const std::string json_path = cli.get_string("json");
   if (!json_path.empty()) {
@@ -341,6 +346,8 @@ int main(int argc, char** argv) {
       first_path_rate = false;
     }
     out << "},\n"
+        << "  \"kernel_fallback_lanes\": " << scratch.fallback_lanes
+        << ",\n"
         << "  \"bit_identical_to_scalar\": "
         << (kernel_identical ? "true" : "false") << "\n}\n";
     std::cout << "wrote " << json_path << "\n";

@@ -174,7 +174,7 @@ reply dispatcher::submit_job(const request& parsed, const char* kind) {
     }
     return finish(json);
   }
-  const std::optional<job_result> done = scheduler_.wait(job);
+  const std::optional<job_result> done = scheduler_.collect(job);
   if (!done.has_value()) {
     return refuse(id, "the job result expired unfetched");
   }
@@ -230,6 +230,10 @@ reply dispatcher::handle(const status_request& request) {
   if (job->status.state == job_state::failed ||
       job->status.state == job_state::timed_out) {
     json.field("error", job->status.error);
+  } else if (job->status.state == job_state::done &&
+             job->sweep == nullptr && job->refined == nullptr) {
+    // Collected by its synchronous submitter: the result went there.
+    json.field("result_delivered", true);
   } else if (job->status.state == job_state::done) {
     write_result_fields(json, result_payload{job->status.kind, job->sweep,
                                              job->refined,

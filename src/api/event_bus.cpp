@@ -71,25 +71,17 @@ bool event_subscription::pump(
 
 std::uint64_t event_bus::publish(std::uint64_t job, const char* type,
                                  bool terminal, std::string body) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return publish_locked(job, type, terminal, std::move(body), nullptr);
+  return publish_lazy(job, type, terminal,
+                      body.empty() ? body_fn()
+                                   : body_fn([body = std::move(body)] {
+                                       return body;
+                                     }));
 }
 
-std::uint64_t event_bus::publish_lazy(std::uint64_t job, const char* type,
-                                      bool terminal, body_fn body) {
-  const std::lock_guard<std::mutex> lock(mutex_);
-  return publish_locked(job, type, terminal, "", std::move(body));
-}
-
-const std::string& event_bus::line_of(std::uint64_t job,
-                                      stored_event& event) {
-  if (!event.rendered) {
-    const std::string body = event.lazy ? event.lazy() : std::move(event.line);
-    event.line = render_line(job, event.seq, event.type, body);
-    event.lazy = nullptr;
-    event.rendered = true;
-  }
-  return event.line;
+std::string event_bus::line_of(std::uint64_t job, std::uint64_t seq,
+                               const stored_event& event) {
+  return render_line(job, seq, event.type,
+                     event.body ? event.body() : std::string());
 }
 
 void event_bus::push_to(const std::shared_ptr<event_subscription>& subscriber,
@@ -123,20 +115,18 @@ void event_bus::push_to(const std::shared_ptr<event_subscription>& subscriber,
   subscriber->cv_.notify_all();
 }
 
-// Caller holds mutex_. The one append path: sequence assignment, body
-// rendering, history append, and fan-out happen atomically, so delivery
-// order always equals sequence order.
-std::uint64_t event_bus::publish_locked(std::uint64_t job, const char* type,
-                                        bool terminal, std::string body,
-                                        body_fn lazy) {
+// The one append path: sequence assignment, history append and fan-out
+// happen atomically under mutex_, so delivery order always equals
+// sequence order.
+std::uint64_t event_bus::publish_lazy(std::uint64_t job, const char* type,
+                                      bool terminal, body_fn body) {
+  const std::lock_guard<std::mutex> lock(mutex_);
   stream& entry = streams_[job];
   // A sweep's whole lifecycle (queued, running, terminal) in one
   // allocation: retained streams outnumber live ones by far.
   if (entry.history.empty()) entry.history.reserve(3);
-  stored_event event;
-  event.seq = entry.next_seq++;
-  event.type = type;
-  event.terminal = terminal;
+  const std::uint64_t seq = entry.history.size() + 1;
+  entry.history.push_back(stored_event{type, terminal, std::move(body)});
   bus_metrics::get().published.inc();
 
   // Prune dead/closed subscribers, keep the live ones.
@@ -146,32 +136,19 @@ std::uint64_t event_bus::publish_locked(std::uint64_t job, const char* type,
     const std::shared_ptr<event_subscription> subscriber = weak.lock();
     if (subscriber == nullptr) continue;
     {
-      const std::lock_guard<std::mutex> lock(subscriber->mutex_);
+      const std::lock_guard<std::mutex> sub_lock(subscriber->mutex_);
       if (subscriber->closed_) continue;
     }
     live.push_back(subscriber);
   }
 
-  if (live.empty()) {
-    // Nobody is watching: keep the body unrendered (`line` holds the
-    // fragment until line_of renders it). A terminal `done` body is the
-    // full result payload, so jobs without subscribers never pay the
-    // render; the first replay that needs it materializes it.
-    event.lazy = std::move(lazy);
-    event.line = std::move(body);
-  } else {
-    if (lazy != nullptr) body = lazy();
-    event.line = render_line(job, event.seq, type, body);
-    event.rendered = true;
-  }
-
   if (!live.empty()) {
     job_event out;
     out.job = job;
-    out.seq = event.seq;
-    out.type = event.type;
+    out.seq = seq;
+    out.type = type;
     out.terminal = terminal;
-    out.line = event.line;
+    out.line = line_of(job, seq, entry.history.back());
     for (const std::shared_ptr<event_subscription>& subscriber : live) {
       push_to(subscriber, out);
     }
@@ -184,8 +161,6 @@ std::uint64_t event_bus::publish_locked(std::uint64_t job, const char* type,
     }
   }
   if (terminal) entry.terminal = true;
-  const std::uint64_t seq = event.seq;
-  entry.history.push_back(std::move(event));
   return seq;
 }
 
@@ -202,14 +177,13 @@ std::shared_ptr<event_subscription> event_bus::subscribe(
   // Replay bypasses the capacity bound: history length is bounded by the
   // job's lifecycle (a handful of events plus refine progress), and a
   // replay that evicted its own subscriber could never catch up.
-  for (stored_event& event : entry.history) {
-    if (event.seq <= from_seq) continue;
+  for (std::size_t k = from_seq; k < entry.history.size(); ++k) {
     job_event out;
     out.job = job;
-    out.seq = event.seq;
-    out.type = event.type;
-    out.terminal = event.terminal;
-    out.line = line_of(job, event);
+    out.seq = k + 1;
+    out.type = entry.history[k].type;
+    out.terminal = entry.history[k].terminal;
+    out.line = line_of(job, out.seq, entry.history[k]);
     subscriber->queue_.push_back(std::move(out));
     bus_metrics::get().delivered.inc();
   }
@@ -248,10 +222,11 @@ void event_bus::close_all() {
       if (subscriber->closed_) continue;
       job_event drain;
       drain.job = job;
-      drain.seq = entry.next_seq;  // not consumed: no stream gap results
+      // The next seq, not consumed: no stream gap results.
+      drain.seq = entry.history.size() + 1;
       drain.type = "draining";
       drain.closing = true;
-      drain.line = render_line(job, entry.next_seq, "draining",
+      drain.line = render_line(job, drain.seq, "draining",
                                ",\"code\":\"draining\"");
       subscriber->queue_.push_back(std::move(drain));
       subscriber->closed_ = true;

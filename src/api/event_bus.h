@@ -22,11 +22,12 @@
 // subscription closes once it has delivered one, and a subscribe() after
 // the terminal was published replays up to and including it (the
 // subscribe-after-terminal contract: a late or reconnecting client still
-// gets the result payload). Terminal `done` bodies can be expensive (the
-// full result payload), so publish_lazy defers rendering: the body
-// closure runs immediately when live subscribers exist, and otherwise on
-// the first replay that needs it -- a job nobody watches never pays the
-// render.
+// gets the result payload). A stored event keeps only its type and a
+// body closure, never a rendered line: the closure runs when the event is
+// published to live subscribers and again on every replay that reaches
+// it, so a job nobody watches never pays the render, and a retained
+// stream costs a few small closures (the job scheduler's capture a few
+// scalars or a pointer to the job's immutable record).
 //
 // close_all() (the daemon's drain hook) pushes a final
 //   {"job": J, "seq": S, "event": "draining", "code": "draining"}
@@ -107,18 +108,19 @@ class event_bus {
   event_bus& operator=(const event_bus&) = delete;
 
   /// Renders an event's extra body members as a ","-led fragment (or "").
+  /// It must be pure: every call returns the same bytes.
   using body_fn = std::function<std::string()>;
 
   /// Appends one event to the job's stream (creating the stream on first
   /// publish) and fans it out to live subscribers. Returns the assigned
   /// sequence number. `type` must be a string with static storage (an
-  /// event-name literal): the stream keeps the pointer. The body is
-  /// rendered into the wire line now iff someone is subscribed, else on
-  /// first replay.
+  /// event-name literal): the stream keeps the pointer. The stream keeps
+  /// the body as a closure that returns it.
   std::uint64_t publish(std::uint64_t job, const char* type, bool terminal,
                         std::string body);
-  /// publish() with a deferred body: rendered now iff someone is
-  /// subscribed, else cached unrendered and materialized on first replay.
+  /// publish() with the body as a closure (empty = no body): it renders
+  /// now iff someone is subscribed, and on every replay that reaches the
+  /// event. Whatever it captures must outlive the job's stream.
   std::uint64_t publish_lazy(std::uint64_t job, const char* type,
                              bool terminal, body_fn body);
 
@@ -144,27 +146,21 @@ class event_bus {
 
  private:
   struct stored_event {
-    std::uint64_t seq = 0;
     const char* type = "";  ///< a string literal (publish's `type`)
     bool terminal = false;
-    bool rendered = false;  ///< `line` is the full wire line
-    /// The wire line once rendered; until then the eager body fragment
-    /// (empty for a lazy body).
-    std::string line;
-    body_fn lazy;  ///< set until the body is rendered
+    body_fn body;  ///< the ","-led body fragment; empty = no body
   };
   struct stream {
-    std::uint64_t next_seq = 1;
     bool terminal = false;
+    /// Event k carries seq k + 1: sequence numbers start at 1 and have no
+    /// gaps.
     std::vector<stored_event> history;
     std::vector<std::weak_ptr<event_subscription>> subscribers;
   };
 
-  std::uint64_t publish_locked(std::uint64_t job, const char* type,
-                               bool terminal, std::string body,
-                               body_fn lazy);
-  /// Renders (memoizing) a stored event's wire line. Caller holds mutex_.
-  const std::string& line_of(std::uint64_t job, stored_event& event);
+  /// Renders a stored event's wire line.
+  static std::string line_of(std::uint64_t job, std::uint64_t seq,
+                             const stored_event& event);
   /// Delivers to one subscriber, evicting it on overflow. Caller holds
   /// mutex_; takes the subscription mutex (the documented lock order).
   void push_to(const std::shared_ptr<event_subscription>& subscriber,

@@ -103,7 +103,6 @@ std::string format_trace_id(std::uint64_t trace_id);
 /// snapshot is O(1) no matter how many grid points the job answered.
 struct job_result {
   job_status status;
-  json_value client_id;  ///< the submitting request's echoed "id"
   /// Exactly one of these is set once status.state == done, by kind.
   std::shared_ptr<const service::sweep_response> sweep;
   std::shared_ptr<const service::refine_result> refined;

@@ -88,6 +88,14 @@ std::string format_trace_id(std::uint64_t trace_id) {
   return buffer;
 }
 
+namespace {
+
+const char* kind_name(bool sweep_kind) {
+  return sweep_kind ? "sweep" : "refine";
+}
+
+}  // namespace
+
 const char* job_state_name(job_state state) {
   switch (state) {
     case job_state::queued: return "queued";
@@ -101,21 +109,25 @@ const char* job_state_name(job_state state) {
   return "unknown";
 }
 
+// A job record holds what status, result and the job's event stream can
+// still return once it is finished; the request forms are freed then.
 struct job_scheduler::job_record {
   std::uint64_t id = 0;
   int priority = 0;
   job_state state = job_state::queued;
-  std::string kind;
-  json_value client_id;
+  bool sweep_kind = true;  ///< sweep, else refine
+  /// Submitted with a request_id the dedup window remembers: a retry can
+  /// re-fetch the job, so collect() keeps its result.
+  bool keyed = false;
   /// Cooperative cancel flag: polled (lock-free) by the running
   /// evaluation's between-batch checks; set by cancel().
   std::atomic<bool> cancel_requested{false};
   bool has_deadline = false;
   std::chrono::steady_clock::time_point deadline;  ///< valid iff has_deadline
-  // Request forms (one is populated, by kind).
+  // Request forms (one is populated, by kind), freed at finish.
   std::vector<service::point_query> queries;  ///< sweep grid, in order
   bool report_topped_up = false;
-  service::refine_request refinement;
+  std::unique_ptr<const service::refine_request> refinement;
   // Results: set exactly once at completion and immutable after, so
   // snapshots share them instead of copying every grid point.
   std::shared_ptr<const service::sweep_response> sweep;
@@ -233,10 +245,10 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
   }
 
   auto record = std::make_shared<job_record>();
+  record->keyed = !dedup_key.empty();
   std::size_t timeout_ms = 0;
   if (const sweep_request* sweep = std::get_if<sweep_request>(&parsed)) {
-    record->kind = "sweep";
-    record->client_id = sweep->header.client_id;
+    record->sweep_kind = true;
     record->priority = sweep->header.priority;
     timeout_ms = sweep->header.timeout_ms;
     record->report_topped_up = sweep->min_half_width > 0.0;
@@ -246,11 +258,11 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     record->progress_total = record->queries.size();
   } else if (const refine_request* refine =
                  std::get_if<refine_request>(&parsed)) {
-    record->kind = "refine";
-    record->client_id = refine->header.client_id;
+    record->sweep_kind = false;
     record->priority = refine->header.priority;
     timeout_ms = refine->header.timeout_ms;
-    record->refinement = refine->refinement;
+    record->refinement =
+        std::make_unique<const service::refine_request>(refine->refinement);
   } else {
     throw invalid_argument_error(
         "only sweep and refine requests become jobs (" +
@@ -313,7 +325,7 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
   // LRU recency moving exactly as the batched path would) or declines
   // with no side effects. Probing outside mutex_ keeps slow store passes
   // off the submit path of other clients.
-  if (allow_inline && record->kind == "sweep" && !record->queries.empty()) {
+  if (allow_inline && record->sweep_kind && !record->queries.empty()) {
     std::optional<service::sweep_response> served =
         service_.try_serve_cached(record->queries);
     if (served.has_value()) {
@@ -393,13 +405,16 @@ submit_outcome job_scheduler::submit_or_serve(request parsed,
     queue_.emplace(-record->priority, id);
     scheduler_metrics& metrics = scheduler_metrics::get();
     count_event(stats_, &scheduler_stats::submitted,
-                record->kind == "sweep" ? metrics.submitted_sweep
-                                        : metrics.submitted_refine);
-    publish_event_locked(*record, "queued", false,
-                         json_fragment([&](json_writer& json) {
-                           json.field("kind", record->kind);
-                           json.field("priority", record->priority);
-                         }));
+                record->sweep_kind ? metrics.submitted_sweep
+                                   : metrics.submitted_refine);
+    events_.publish_lazy(
+        id, "queued", false,
+        [sweep = record->sweep_kind, priority = record->priority] {
+          return json_fragment([&](json_writer& json) {
+            json.field("kind", kind_name(sweep));
+            json.field("priority", priority);
+          });
+        });
     sync_gauges_locked();
   }
   work_cv_.notify_one();
@@ -416,24 +431,15 @@ std::shared_ptr<event_subscription> job_scheduler::subscribe(
 
 void job_scheduler::close_event_streams() { events_.close_all(); }
 
-// Caller holds mutex_ (the documented scheduler -> bus lock order; the
-// bus never calls back into the scheduler).
-void job_scheduler::publish_event_locked(const job_record& job,
-                                         const char* type, bool terminal,
-                                         std::string body) {
-  events_.publish(job.id, type, terminal, std::move(body));
-}
-
 job_result job_scheduler::snapshot(const job_record& job) const {
   job_result result;
   result.status.id = job.id;
   result.status.state = job.state;
-  result.status.kind = job.kind;
+  result.status.kind = kind_name(job.sweep_kind);
   result.status.priority = job.priority;
   result.status.progress_done = job.progress_done;
   result.status.progress_total = job.progress_total;
   result.status.error = job.error;
-  result.client_id = job.client_id;
   result.report_topped_up = job.report_topped_up;
   result.trace = job.trace;
   if (job.state == job_state::done) {
@@ -443,17 +449,42 @@ job_result job_scheduler::snapshot(const job_record& job) const {
   return result;
 }
 
+std::optional<job_result> job_scheduler::delivered_snapshot(
+    std::uint64_t id) const {
+  const auto found = delivered_.find(id);
+  if (found == delivered_.end()) return std::nullopt;
+  const delivered_job& job = found->second;
+  job_result result;
+  result.status.id = id;
+  result.status.state = job_state::done;
+  result.status.kind = kind_name(job.sweep_kind);
+  result.status.priority = job.priority;
+  result.status.progress_done = job.progress_done;
+  result.status.progress_total = job.progress_total;
+  result.trace = job.trace;
+  return result;
+}
+
 std::optional<job_result> job_scheduler::inspect(std::uint64_t id) const {
   const std::lock_guard<std::mutex> lock(mutex_);
   const auto found = jobs_.find(id);
-  if (found == jobs_.end()) return std::nullopt;
+  if (found == jobs_.end()) return delivered_snapshot(id);
   return snapshot(*found->second);
 }
 
 std::optional<job_result> job_scheduler::wait(std::uint64_t id) {
+  return wait(id, false);
+}
+
+std::optional<job_result> job_scheduler::collect(std::uint64_t id) {
+  return wait(id, true);
+}
+
+std::optional<job_result> job_scheduler::wait(std::uint64_t id,
+                                              bool collecting) {
   std::unique_lock<std::mutex> lock(mutex_);
   const auto found = jobs_.find(id);
-  if (found == jobs_.end()) return std::nullopt;
+  if (found == jobs_.end()) return delivered_snapshot(id);
   const std::shared_ptr<job_record> job = found->second;
   ++job->waiters;  // pins the record against retention trimming
   // stopping_ releases the wait too: a scheduler being destroyed will
@@ -478,6 +509,15 @@ std::optional<job_result> job_scheduler::wait(std::uint64_t id) {
   done_cv_.wait(lock, terminal);
   job_result result = snapshot(*job);
   --job->waiters;
+  if (collecting && job->state == job_state::done && !job->keyed) {
+    // Delivered to the only client that knows the id: keep only what
+    // status still returns; the record, payload and event stream go.
+    delivered_.emplace(id, delivered_job{job->priority, job->sweep_kind,
+                                         job->progress_done,
+                                         job->progress_total, job->trace});
+    events_.forget(id);
+    jobs_.erase(id);
+  }
   trim_locked();  // catch up on trims this pin deferred
   return result;
 }
@@ -485,7 +525,10 @@ std::optional<job_result> job_scheduler::wait(std::uint64_t id) {
 cancel_outcome job_scheduler::cancel(std::uint64_t id) {
   std::lock_guard<std::mutex> lock(mutex_);
   const auto found = jobs_.find(id);
-  if (found == jobs_.end()) return cancel_outcome::unknown;
+  if (found == jobs_.end()) {
+    return delivered_.count(id) != 0 ? cancel_outcome::finished
+                                     : cancel_outcome::unknown;
+  }
   job_record& job = *found->second;
   if (job.state == job_state::queued) {
     queue_.erase({-job.priority, id});
@@ -551,10 +594,12 @@ void job_scheduler::trim_locked() {
     if (oldest != jobs_.end() && oldest->second->waiters > 0) break;
     if (oldest != jobs_.end()) {
       // Forgetting a job drops its event history too (closing any
-      // subscriber still attached): subscribe() answers for exactly the
-      // jobs status answers for.
+      // subscriber still attached): subscribe() answers only for jobs
+      // status answers for (and not for collected ones, see collect()).
       events_.forget(oldest->first);
       jobs_.erase(oldest);
+    } else {
+      delivered_.erase(finished_.front());
     }
     finished_.pop_front();
   }
@@ -578,7 +623,7 @@ void job_scheduler::start_running_locked(job_record& job) {
       seconds_between(job.submit_time, std::chrono::steady_clock::now());
   scheduler_metrics::get().queue_wait_seconds.observe(
       job.trace.queue_wait_seconds);
-  publish_event_locked(job, "running", false, "");
+  events_.publish(job.id, "running", false, "");
   sync_gauges_locked();
 }
 
@@ -607,8 +652,9 @@ void job_scheduler::finish(job_record& job, job_state state) {
     default: break;
   }
   // A finished job answers from its result or its error; retention keeps
-  // the record, so drop the request grid it no longer needs.
+  // the record, so drop the request forms it no longer needs.
   std::vector<service::point_query>().swap(job.queries);
+  job.refinement.reset();
   job.trace.total_seconds =
       seconds_between(job.submit_time, std::chrono::steady_clock::now());
   metrics.duration_seconds.observe(job.trace.total_seconds);
@@ -618,33 +664,35 @@ void job_scheduler::finish(job_record& job, job_state state) {
     logging::event(logging::level::warn, "scheduler", "slow_request")
         .field("trace_id", format_trace_id(job.trace.trace_id))
         .field("job", job.id)
-        .field("kind", job.kind)
+        .field("kind", kind_name(job.sweep_kind))
         .field("state", job_state_name(state))
         .field("total_ms", job.trace.total_seconds * 1000.0)
         .field("queue_wait_ms", job.trace.queue_wait_seconds * 1000.0)
         .field("engine_ms", job.trace.spans.engine_seconds * 1000.0);
   }
   // The terminal event goes out BEFORE the retention trim below so the
-  // stream can never be forgotten with its ending unpublished. A done
-  // job's body is rendered lazily: with no subscriber ever attaching,
-  // the result payload is never serialized a second time.
+  // stream can never be forgotten with its ending unpublished. Its body
+  // renders from this record, which outlives the stream: the trim and
+  // collect() forget the stream before they free the record or its
+  // payload, and events_ is destroyed before jobs_. A done job's result
+  // payload is serialized only when someone subscribes.
+  const job_record* record = &job;
   if (state == job_state::done) {
-    events_.publish_lazy(
-        job.id, "done", true,
-        [payload = result_payload{job.kind, job.sweep, job.refined,
-                                  job.report_topped_up}] {
-          return json_fragment([&payload](json_writer& json) {
-            write_result_fields(json, payload);
-          });
-        });
+    events_.publish_lazy(job.id, "done", true, [record] {
+      return json_fragment([record](json_writer& json) {
+        write_result_fields(
+            json, result_payload{kind_name(record->sweep_kind), record->sweep,
+                                 record->refined, record->report_topped_up});
+      });
+    });
   } else if (state == job_state::failed || state == job_state::timed_out) {
-    const std::string& error = job.error;
-    publish_event_locked(job, job_state_name(state), true,
-                         json_fragment([&error](json_writer& json) {
-                           json.field("error", error);
-                         }));
+    events_.publish_lazy(job.id, job_state_name(state), true, [record] {
+      return json_fragment([record](json_writer& json) {
+        json.field("error", record->error);
+      });
+    });
   } else {
-    publish_event_locked(job, job_state_name(state), true, "");
+    events_.publish(job.id, job_state_name(state), true, "");
   }
   finished_.push_back(job.id);
   trim_locked();
@@ -666,7 +714,7 @@ void job_scheduler::worker_loop() {
       done_cv_.notify_all();
       continue;
     }
-    if (head->kind == "sweep") {
+    if (head->sweep_kind) {
       run_sweep_batch(lock);
     } else {
       queue_.erase(queue_.begin());
@@ -690,7 +738,7 @@ void job_scheduler::run_sweep_batch(std::unique_lock<std::mutex>& lock) {
   std::vector<std::size_t> offsets;
   for (auto it = queue_.begin(); it != queue_.end();) {
     const std::shared_ptr<job_record> job = jobs_.at(it->second);
-    if (job->kind != "sweep") break;
+    if (!job->sweep_kind) break;
     it = queue_.erase(it);
     if (job->has_deadline && now >= job->deadline) {
       finish(*job, job_state::timed_out);
@@ -799,15 +847,18 @@ void job_scheduler::run_refine(std::unique_lock<std::mutex>& lock,
   const job_state outcome = run_to_outcome(
       [&] {
         refined = service::refine(
-            service_, job->refinement,
+            service_, *job->refinement,
             [this, job](std::size_t evaluations) {
               const std::lock_guard<std::mutex> progress_lock(mutex_);
               job->progress_done = evaluations;
-              publish_event_locked(*job, "progress", false,
-                                   json_fragment([&](json_writer& json) {
-                                     json.field("done", evaluations);
-                                     json.field("total", job->progress_total);
-                                   }));
+              events_.publish_lazy(
+                  job->id, "progress", false,
+                  [evaluations, total = job->progress_total] {
+                    return json_fragment([&](json_writer& json) {
+                      json.field("done", evaluations);
+                      json.field("total", total);
+                    });
+                  });
             },
             [&job] { job->check_running(); });
       },

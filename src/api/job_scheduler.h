@@ -33,6 +33,9 @@
 // throwing overloaded_error instead of growing silently. Finished jobs
 // are retained for status/result fetches up to options.retain_finished,
 // then forgotten oldest-first; wait() blocks until a job is terminal.
+// A synchronous submission's own connection collects its job instead
+// (collect()), which releases the result of a done job that no retry can
+// name once it is delivered.
 // The destructor stops the workers after their current jobs;
 // still-queued jobs are dropped (the daemon drains synchronous requests
 // before exit).
@@ -50,6 +53,7 @@
 #include <optional>
 #include <set>
 #include <thread>
+#include <unordered_map>
 #include <utility>
 #include <vector>
 
@@ -151,6 +155,17 @@ class job_scheduler {
   /// snapshot; nullopt for an unknown id.
   std::optional<job_result> wait(std::uint64_t id);
 
+  /// wait() for the connection that submitted a synchronous request. Its
+  /// response carries the result and the job id is never sent, so once a
+  /// done job submitted without a request_id is collected, the scheduler
+  /// keeps only what status still returns for it (state, progress,
+  /// trace): the record, result payload and event stream are released,
+  /// so status reports it done with "result_delivered" instead of a
+  /// result, and subscribe answers unknown. A job with a request_id keeps
+  /// its result (a retry after a lost response re-fetches it through the
+  /// dedup window), and a failed one keeps its error.
+  std::optional<job_result> collect(std::uint64_t id);
+
   /// Cancels a queued job immediately; flags a running job for
   /// cooperative cancellation (it stops at its next between-batch check).
   /// See cancel_outcome for the four possible answers.
@@ -174,21 +189,19 @@ class job_scheduler {
  private:
   struct job_record;
 
+  std::optional<job_result> wait(std::uint64_t id, bool collecting);
   void worker_loop();
   void run_sweep_batch(std::unique_lock<std::mutex>& lock);
   void run_refine(std::unique_lock<std::mutex>& lock,
                   const std::shared_ptr<job_record>& job);
   void finish(job_record& job, job_state state);
-  /// Publishes a lifecycle event for a job (caller holds mutex_; the bus
-  /// takes its own lock underneath -- the documented scheduler->bus
-  /// order).
-  void publish_event_locked(const job_record& job, const char* type,
-                            bool terminal, std::string body);
   void trim_locked();
   void sync_gauges_locked();
   /// Marks a job running and records its queue-wait span/metrics.
   void start_running_locked(job_record& job);
   job_result snapshot(const job_record& job) const;
+  /// inspect()'s answer for a collected job; nullopt for an unknown id.
+  std::optional<job_result> delivered_snapshot(std::uint64_t id) const;
 
   service::sweep_service& service_;
   options options_;
@@ -202,6 +215,17 @@ class job_scheduler {
   /// (-priority, id): begin() is the highest-priority, oldest job.
   std::set<std::pair<int, std::uint64_t>> queue_;
   std::map<std::uint64_t, std::shared_ptr<job_record>> jobs_;
+  /// What status still returns for a done job its synchronous submitter
+  /// collected (see collect()): no payload, no event stream.
+  struct delivered_job {
+    int priority = 0;
+    bool sweep_kind = true;
+    std::size_t progress_done = 0;
+    std::size_t progress_total = 0;
+    job_trace trace;
+  };
+  /// Collected jobs, by id; they keep their slot in the retention ring.
+  std::unordered_map<std::uint64_t, delivered_job> delivered_;
   std::deque<std::uint64_t> finished_;  ///< retention ring, oldest first
   scheduler_stats stats_;
   /// The request_id dedup window: key -> (job id, canonical payload).

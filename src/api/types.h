@@ -42,6 +42,9 @@
 //   {"id": 3, "kind": "status", "job": 7, "wait": true}
 //     -> state of an async job; "wait": true blocks until the job is
 //        terminal and, when it completed, carries the full result payload.
+//        A synchronous job answered on its own connection (no
+//        request_id) reports "result_delivered": true instead: its
+//        result went out in that response.
 //
 //   {"id": 4, "kind": "cancel", "job": 7}
 //     -> cancels a queued job; running/finished jobs report their state.

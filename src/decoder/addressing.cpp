@@ -55,12 +55,15 @@ void below_level_masks(const double* z_lanes, std::size_t lane_stride,
                        std::size_t rows, std::size_t lanes,
                        const double* offsets, const double* scales,
                        const double* levels, std::size_t level_count,
-                       std::uint64_t* out) {
+                       std::uint64_t* out, const double* tolerances,
+                       std::uint64_t* uncertain) {
   NWDEC_EXPECTS(lanes >= 1, "below_level_masks needs at least one lane");
   NWDEC_EXPECTS(lane_stride >= lanes, "lane stride must cover every lane");
+  NWDEC_EXPECTS(uncertain == nullptr || tolerances != nullptr,
+                "an uncertain-lane mask needs per-row tolerances");
   detail::active_kernel_table().below_level_masks(
       z_lanes, lane_stride, rows, lanes, offsets, scales, levels,
-      level_count, out);
+      level_count, out, tolerances, uncertain);
 }
 
 void addressable_group_masks(const std::uint64_t* below,

@@ -25,6 +25,13 @@
 // widest one the running CPU supports (NWDEC_SIMD_PATH overrides; see
 // util/cpu.h). Every path performs the same IEEE operations per lane, so
 // the chosen path never changes a result, only throughput.
+//
+// The Monte-Carlo deviates behind these masks are certified rather than
+// bit-exact (util/rng.h: within deviate_rel_bound), so below_level_masks
+// can also report the lanes whose realized V_T sits within a per-row band
+// of a level; the trial kernel (yield/trial_context.h) re-derives exactly
+// those lanes from the exact per-trial stream, which keeps every verdict
+// identical to the scalar rule's.
 #pragma once
 
 #include <cstddef>
@@ -71,13 +78,24 @@ inline bool conducts(const double* realized_vt, const double* gate_voltages,
 /// out[(r * level_count + d) * words + t / 64] is set iff vt < levels[d],
 /// with words = ceil(lanes / 64); bits past `lanes` are clear. When
 /// `levels` are the drive voltages, this is exactly the scalar rule's
-/// per-region test (gate > vt). Requires lanes >= 1 and
-/// lane_stride >= lanes.
+/// per-region test (gate > vt).
+///
+/// Certification: when `uncertain` is given, the same pass also sets bit
+/// t % 64 of uncertain[t / 64] (it never clears one) for every lane t
+/// whose vt lies within tolerances[r] of some level of some row r:
+/// levels[d] - tolerances[r] <= vt < levels[d] + tolerances[r], the
+/// bounds rounded to nearest. The mask bits of a lane marked so are
+/// unspecified; every other lane's are exact. A caller whose deviates are
+/// only certified to a bound (standard_normal_block, util/rng.h) sizes the
+/// tolerances so that the exact deviate could flip a verdict only in such
+/// a lane, and re-derives those lanes exactly. Requires lanes >= 1,
+/// lane_stride >= lanes, and tolerances when uncertain is set.
 void below_level_masks(const double* z_lanes, std::size_t lane_stride,
                        std::size_t rows, std::size_t lanes,
                        const double* offsets, const double* scales,
                        const double* levels, std::size_t level_count,
-                       std::uint64_t* out);
+                       std::uint64_t* out, const double* tolerances = nullptr,
+                       std::uint64_t* uncertain = nullptr);
 
 /// Operational verdicts of one contact group from below_level_masks over
 /// the drive levels (rows = nanowires x regions, row-major). Nanowire a

@@ -28,7 +28,8 @@ struct kernel_table {
                             std::size_t rows, std::size_t lanes,
                             const double* offsets, const double* scales,
                             const double* levels, std::size_t level_count,
-                            std::uint64_t* out);
+                            std::uint64_t* out, const double* tolerances,
+                            std::uint64_t* uncertain);
 
   /// decoder::window_margin_block's kernel.
   bool (*window_margin_block)(const double* vt_lanes_row,

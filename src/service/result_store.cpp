@@ -448,9 +448,13 @@ void result_store::evict_one() {
   ++stats_.evictions;
 }
 
+std::shared_ptr<const stored_result> make_stored_result(stored_result result) {
+  return std::allocate_shared<const stored_result>(
+      slot_allocator<stored_result>(), std::move(result));
+}
+
 void result_store::insert(std::uint64_t fingerprint, stored_result result) {
-  insert(fingerprint,
-         std::make_shared<const stored_result>(std::move(result)));
+  insert(fingerprint, make_stored_result(std::move(result)));
 }
 
 void result_store::insert(std::uint64_t fingerprint,

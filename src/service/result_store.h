@@ -51,6 +51,7 @@
 #include "core/design_point.h"
 #include "core/sweep_engine.h"
 #include "util/json.h"
+#include "util/slot_pool.h"
 #include "yield/trial_context.h"
 
 namespace nwdec::service {
@@ -83,6 +84,11 @@ struct stored_result {
   /// sheds the cheap class first.
   bool expensive() const { return mc_trials_used > 0; }
 };
+
+/// The one way results are allocated: a shared, immutable stored_result
+/// whose object and reference counts share one slot of the result pool
+/// (util/slot_pool.h), like the store's index nodes.
+std::shared_ptr<const stored_result> make_stored_result(stored_result result);
 
 /// Everything a cached result depends on besides the point fingerprint.
 /// A persisted store is only loaded into a service with an identical
@@ -214,7 +220,9 @@ class result_store {
   std::size_t capacity_;
   lru_list cheap_;      ///< analytic-only entries
   lru_list expensive_;  ///< Monte-Carlo entries
-  std::unordered_map<std::uint64_t, entry> index_;
+  std::unordered_map<std::uint64_t, entry, std::hash<std::uint64_t>,
+                     std::equal_to<std::uint64_t>, slot_allocator<slot>>
+      index_;
   std::uint64_t touch_counter_ = 0;
   store_stats stats_;
 };

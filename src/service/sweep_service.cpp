@@ -323,7 +323,7 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
     produced.reserve(plans.size());
     for (eval_plan& plan : plans) {
       produced.push_back(
-          std::make_shared<const stored_result>(std::move(plan.produced)));
+          make_stored_result(std::move(plan.produced)));
       const stored_result& fresh = *produced.back();
       const std::uint64_t key = core::fingerprint(plan.request);
       // Keep a dominating resident entry: one with at least as many

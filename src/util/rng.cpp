@@ -7,6 +7,7 @@
 #include "util/rng.h"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "util/cpu.h"
@@ -253,47 +254,39 @@ struct lane_cursor {
 
 // Walks one lane of a lane group over the freshly twisted rows
 // [begin, end) of the current round: polar pairs until `count` deviates
-// are out (the block_rng::standard_normal_fill walk: compress-store the
-// accepted pairs, log/sqrt densely over them, consume through the pair
-// that completes the fill), then single tail words until `tail_count`
-// uniforms are out. Returns true when the lane needs no further words.
+// are out (compress-store the accepted candidates, whose deviates
+// lane_pairs already formed, and consume through the pair that completes
+// the fill -- block_rng::standard_normal_fill's accept/reject walk), then
+// single tail words until `tail_count` uniforms are out. Returns true when
+// the lane needs no further words.
 bool walk_lane(const detail::rng_kernel_table& kernels,
                const std::uint64_t* group, std::size_t lane,
-               std::size_t begin, std::size_t end, const double* px,
-               const double* py, const double* pr2, std::size_t count,
+               std::size_t begin, std::size_t end, const double* zx,
+               const double* zy, std::uint32_t accepted, std::size_t count,
                double* out, std::size_t stride, std::size_t tail_count,
                double* tail_out, lane_cursor& cursor) {
   std::size_t position = begin;
   if (cursor.emitted < count) {
-    // Compress-store of the accepted pairs' positions (branch-free: every
-    // slot is written, acceptance only moves the cursor).
-    std::size_t apos[lane_chunk / 2];
-    double am[lane_chunk / 2];
-    const std::size_t pairs = (end - begin) / 2;
-    std::size_t accepted = 0;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const double r2 = pr2[p * lane_group + lane];
-      apos[accepted] = p * lane_group + lane;
-      accepted += (r2 <= 1.0 && r2 != 0.0) ? 1 : 0;
-    }
-    const std::size_t need_pairs = (count - cursor.emitted + 1) / 2;
-    const std::size_t use = accepted < need_pairs ? accepted : need_pairs;
-    for (std::size_t a = 0; a < use; ++a) {
-      const double r2 = pr2[apos[a]];
-      am[a] = std::sqrt(-2.0 * std::log(r2) / r2);
-    }
+    // Emit whole pairs while two deviates are still wanted, then the last
+    // pair's y alone when `count` is odd.
     std::size_t k = cursor.emitted;
-    for (std::size_t a = 0; a < use; ++a) {
-      out[k * stride] = py[apos[a]] * am[a];
+    std::size_t last = 0;
+    while (accepted != 0 && k + 2 <= count) {
+      last = static_cast<std::size_t>(std::countr_zero(accepted));
+      accepted &= accepted - 1;
+      const std::size_t slot = last * lane_group + lane;
+      out[k * stride] = zy[slot];
+      out[(k + 1) * stride] = zx[slot];
+      k += 2;
+    }
+    if (accepted != 0 && k < count) {
+      last = static_cast<std::size_t>(std::countr_zero(accepted));
+      out[k * stride] = zy[last * lane_group + lane];
       ++k;
-      if (k < count) {
-        out[k * stride] = px[apos[a]] * am[a];
-        ++k;
-      }
     }
     cursor.emitted = k;
     if (k < count) return false;
-    position = begin + 2 * (apos[use - 1] / lane_group + 1);
+    position = begin + 2 * (last + 1);
   }
   if (cursor.tails < tail_count) {
     std::uint64_t words[lane_chunk];
@@ -329,13 +322,13 @@ void standard_normal_block(std::uint64_t key, std::uint64_t first,
   kernels.seed_lanes(scratch.seeds.data(), trials, scratch.state.data());
 
   // Group by group: twist the next chunk of every lane at once, form its
-  // polar candidates, then walk each unfinished lane across it. A lane
-  // that is not finished has consumed every word twisted so far, so all
-  // unfinished lanes share one twist frontier; finished lanes need no
-  // more words, so a new round may overwrite their state.
-  double px[lane_chunk / 2 * lane_group];
-  double py[lane_chunk / 2 * lane_group];
-  double pr2[lane_chunk / 2 * lane_group];
+  // polar candidates and their deviates, then walk each unfinished lane
+  // across it. A lane that is not finished has consumed every word twisted
+  // so far, so all unfinished lanes share one twist frontier; finished
+  // lanes need no more words, so a new round may overwrite their state.
+  double zx[lane_chunk / 2 * lane_group];
+  double zy[lane_chunk / 2 * lane_group];
+  std::uint32_t accepted[lane_group] = {};
   for (std::size_t g = 0; g < groups; ++g) {
     std::uint64_t* group = scratch.state.data() + g * mt_n * lane_group;
     const std::size_t first_lane = g * lane_group;
@@ -361,13 +354,13 @@ void standard_normal_block(std::uint64_t key, std::uint64_t first,
       kernels.twist_lanes(group, twisted, end);
       if (count > 0) {
         kernels.lane_pairs(group + twisted * lane_group, (end - twisted) / 2,
-                           px, py, pr2);
+                           zx, zy, accepted);
       }
       for (std::size_t l = 0; l < width; ++l) {
         if (done[l]) continue;
         const std::size_t t = first_lane + l;
-        if (walk_lane(kernels, group, l, twisted, end, px, py, pr2, count,
-                      lanes + t, lane_stride, tail_count,
+        if (walk_lane(kernels, group, l, twisted, end, zx, zy, accepted[l],
+                      count, lanes + t, lane_stride, tail_count,
                       tail_uniforms + t * tail_count, cursors[l])) {
           done[l] = true;
           --open;

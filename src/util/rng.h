@@ -135,8 +135,10 @@ class rng {
 
 /// mt19937_64 re-implemented from its (fully standard-specified)
 /// recurrence, plus the exact draw rules of the distributions the trial
-/// kernel consumes -- the single-stream statement of the deviate contract
-/// that standard_normal_block (below) runs many streams at once:
+/// kernel consumes -- the exact single-stream statement of the deviate
+/// contract that standard_normal_block (below) runs many streams at once
+/// (with certified rather than bit-exact deviate values), and the exact
+/// stream the Monte-Carlo verdict certificate falls back to:
 ///
 ///   * Its raw output is bit-identical to std::mt19937_64 by construction
 ///     (the engine is specified exactly; the tests verify it). It seeds in
@@ -252,21 +254,47 @@ struct lane_rng_scratch {
   std::vector<std::uint64_t> seeds;  ///< one per trial
 };
 
+/// Relative bound of standard_normal_block's deviates: each one is within
+/// deviate_rel_bound * |z| of the deviate z rng::standard_normal_fill
+/// draws at the same stream position. The vector paths (AVX2, AVX-512)
+/// compute the polar multiplier with a polynomial log
+/// (util/rng_kernels.h); their measured error is a few ulp (~2^-50), so
+/// the bound leaves a wide margin. The plain paths (scalar, SSE2) use
+/// std::log and are exact (bound 0). The bound assumes only that libm's
+/// log is itself within it of the true logarithm.
+inline constexpr double deviate_rel_bound = 0x1p-44;
+
+/// Every polar deviate satisfies |z| <= deviate_abs_bound: canonical pairs
+/// have r2 >= 2^-106 (nonzero |2u - 1| >= 2^-53), and |z| <= sqrt(-2 ln r2)
+/// <= sqrt(212 ln 2) ~ 12.12. Consumers size their certification
+/// tolerances from it.
+inline constexpr double deviate_abs_bound = 12.25;
+
 /// The batched counter-based generator of the blocked Monte-Carlo kernel.
 /// Trial t in [0, trials) draws from the stream rng::from_counter(key,
 /// first + t): its first `count` standard normals land at
-/// lanes[k * lane_stride + t] (structure-of-arrays, one row per deviate) --
-/// exactly what rng::standard_normal_fill produces from that stream -- and
-/// the next `tail_count` canonicals of the same stream at
+/// lanes[k * lane_stride + t] (structure-of-arrays, one row per deviate)
+/// and the next `tail_count` canonicals of the same stream at
 /// tail_uniforms[t * tail_count + k], exactly the block_rng::canonical()
 /// draws that would follow (the trial's defect and discard uniforms).
 ///
+/// Certified contract: the stream positions are exact -- every polar
+/// accept/reject decision, the number of words each trial consumes and
+/// therefore every tail uniform are bit-identical to the trial's scalar
+/// stream, because they depend on the uniforms alone. The deviate values
+/// are within deviate_rel_bound of rng::standard_normal_fill's (bit-exact
+/// on the plain paths): the multiplier sqrt(-2 log(r2) / r2) comes from a
+/// lane-parallel polynomial log, eight lanes per vector on AVX-512.
+/// Consumers that need exact verdicts certify them (see
+/// yield::trial_context::run_trial_block) and redraw a trial through
+/// block_rng, the exact single-stream path, when a value sits too close to
+/// a threshold.
+///
 /// The streams are seeded and twisted lane-parallel, in one
 /// structure-of-arrays mt19937_64 state per group of eight trials (the
-/// per-path kernels of util/rng_kernels.h); only the polar accept/reject
-/// walk, with its scalar std::log, runs lane by lane. Every trial's
-/// deviates and tail draws are therefore bit-identical to its scalar
-/// stream. Requires lane_stride >= trials.
+/// per-path kernels of util/rng_kernels.h); only the compress of the
+/// accepted pairs and the writes into the slab run lane by lane. Requires
+/// lane_stride >= trials.
 void standard_normal_block(std::uint64_t key, std::uint64_t first,
                            std::size_t trials, std::size_t count,
                            double* lanes, std::size_t lane_stride,

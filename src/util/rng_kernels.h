@@ -11,7 +11,10 @@
 // operations per word (the two-halves u64->double conversion with its
 // single rounding, the min clamp, the 2u-1 affine map, mul + add for r2,
 // all with FP contraction disabled), so the converted values are
-// bit-identical on every path; only throughput differs.
+// bit-identical on every path; only throughput differs. The one exception
+// is lane_pairs' polar multiplier, which the AVX2 and AVX-512 paths
+// compute with a polynomial log: their deviates are certified to
+// deviate_rel_bound, not bit-exact (see util/rng.h).
 #pragma once
 
 #include <cstddef>
@@ -58,13 +61,18 @@ struct rng_kernel_table {
   void (*twist_lanes)(std::uint64_t* group_state, std::size_t begin,
                       std::size_t end);
 
-  /// Polar-pair candidates of one lane group: pair p of lane l comes from
-  /// rows 2p and 2p + 1 of `rows` (row r, lane l at rows[r * lane_group +
-  /// l]) exactly as pairs_from_words forms them, and lands at
-  /// p * lane_group + l of px / py / pr2. Requires pairs <= 32.
+  /// Polar-pair candidates of one lane group and the deviates they emit:
+  /// pair p of lane l comes from rows 2p and 2p + 1 of `rows` (row r, lane
+  /// l at rows[r * lane_group + l]) exactly as pairs_from_words forms its
+  /// x, y and r2. Bit p of accepted[l] is set iff that r2 is in (0, 1] --
+  /// exact, since r2 is pairs_from_words' -- and slot p * lane_group + l of
+  /// zy and zx holds y * mult and x * mult, mult = sqrt(-2 log(r2) / r2).
+  /// The multiplier is computed lane-parallel with a polynomial log on the
+  /// AVX2 and AVX-512 paths (within deviate_rel_bound of libm's,
+  /// util/rng.h) and with std::log on the plain paths. Slots of rejected
+  /// candidates hold unspecified values. Requires pairs <= 32.
   void (*lane_pairs)(const std::uint64_t* rows, std::size_t pairs,
-                     double* px, double* py, double* pr2);
-
+                     double* zx, double* zy, std::uint32_t* accepted);
 };
 
 /// Per-path table getters; nullptr when the build could not compile that

@@ -50,6 +50,8 @@ trial_context::trial_context(const decoder::decoder_design& design,
     NWDEC_ENSURES(std::isfinite(drive_levels_.back()) &&
                       (d == 0 || drive_levels_[d - 1] < drive_levels_[d]),
                   "drive levels must be finite and strictly increasing");
+    level_magnitude_ =
+        std::max(level_magnitude_, std::abs(drive_levels_.back()));
   }
 
   // Contact-group membership as one flat offsets+indices layout.
@@ -76,6 +78,21 @@ trial_context::trial_context(const decoder::decoder_design& design,
     members_[cursor[group_of_[i]]++] = i;
   }
 }
+
+namespace {
+
+// Half-width of the band around a threshold inside which a value realized
+// as offset + scale * z from a certified deviate might fall on the other
+// side of it with the exact deviate: the deviate's error at the largest
+// |z| any polar deviate reaches (deviate_abs_bound), doubled to cover the
+// product's and the sum's roundings, plus a few ulp of every magnitude in
+// play (`magnitude` bounds |offset| and |threshold|).
+double certify_tolerance(double scale, double magnitude) {
+  return scale * (2.0 * deviate_rel_bound * deviate_abs_bound) +
+         (magnitude + scale * deviate_abs_bound) * 0x1p-49;
+}
+
+}  // namespace
 
 bool trial_context::window_ok(const double* vt_row, std::size_t row) const {
   const double* nominal_row = nominal_vt_.data() + row * regions_;
@@ -145,6 +162,21 @@ std::size_t trial_context::run_trial(rng& stream, trial_scratch& scratch,
   }
   return good;
 }
+
+namespace {
+
+// Calls visit(t) for every lane t whose bit is set in the lane mask.
+template <typename Visit>
+void for_each_lane(const std::uint64_t* mask, std::size_t words,
+                   Visit&& visit) {
+  for (std::size_t w = 0; w < words; ++w) {
+    for (std::uint64_t bits = mask[w]; bits != 0; bits &= bits - 1) {
+      visit(64 * w + static_cast<std::size_t>(std::countr_zero(bits)));
+    }
+  }
+}
+
+}  // namespace
 
 void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
                                     std::size_t count, trial_scratch& scratch,
@@ -218,15 +250,49 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
   for (std::size_t k = 0; k < cells; ++k) {
     scales[k] = sigma_vt * noise_scale_[k];
   }
+  // The certificate's fallback: trial first + t's exact deviates -- the
+  // scalar path's draws -- down its slab column.
+  ensure(scratch.uncertain, words);
+  std::uint64_t* uncertain = scratch.uncertain.data();
+  for (std::size_t w = 0; w < words; ++w) uncertain[w] = 0;
+  const auto redraw_exact = [&](std::size_t t) {
+    block_rng::from_counter(run_key, first + t)
+        .standard_normal_fill(slab + t, cells, lane_stride);
+    ++scratch.fallback_lanes;
+  };
   if (mode == mc_mode::window) {
+    // Realize in place; a lane whose |delta| lands within the tolerance of
+    // the window half-width is uncertain.
+    ensure(scratch.near, count);
+    std::uint8_t* near = scratch.near.data();
+    for (std::size_t t = 0; t < count; ++t) near[t] = 0;
     for (std::size_t k = 0; k < cells; ++k) {
       const double center = nominal_vt_[k];
       const double scale = scales[k];
+      const double tolerance = certify_tolerance(
+          scale, std::abs(center) + window_half_width_);
+      const double inner = window_half_width_ - tolerance;
+      const double outer = window_half_width_ + tolerance;
       double* lane = slab + k * lane_stride;
       for (std::size_t t = 0; t < count; ++t) {
-        lane[t] = center + scale * lane[t];
+        const double vt = center + scale * lane[t];
+        const double delta = std::abs(vt - center);
+        lane[t] = vt;
+        near[t] |= static_cast<std::uint8_t>(delta >= inner && delta <= outer);
       }
     }
+    for (std::size_t t = 0; t < count; ++t) {
+      uncertain[t / 64] |= static_cast<std::uint64_t>(near[t]) << (t % 64);
+    }
+    // Uncertain lanes are redrawn exactly and realized the same way before
+    // the margin sweep reads them.
+    for_each_lane(uncertain, words, [&](std::size_t t) {
+      redraw_exact(t);
+      for (std::size_t k = 0; k < cells; ++k) {
+        double& vt = slab[k * lane_stride + t];
+        vt = nominal_vt_[k] + scales[k] * vt;
+      }
+    });
     ensure(scratch.margins, 2 * lane_stride);
     double* margin = scratch.margins.data();
     double* verdict = margin + lane_stride;
@@ -248,17 +314,39 @@ void trial_context::run_trial_block(std::uint64_t run_key, std::uint64_t first,
     // read once and V_T is never stored.
     const std::size_t levels = drive_levels_.size();
     ensure(scratch.below, cells * levels * words);
+    ensure(scratch.tolerances, cells);
+    double* tolerances = scratch.tolerances.data();
+    for (std::size_t k = 0; k < cells; ++k) {
+      tolerances[k] = certify_tolerance(
+          scales[k], std::abs(nominal_vt_[k]) + level_magnitude_);
+    }
+    std::uint64_t* below = scratch.below.data();
     decoder::below_level_masks(slab, lane_stride, cells, count,
                                nominal_vt_.data(), scales,
-                               drive_levels_.data(), levels,
-                               scratch.below.data());
+                               drive_levels_.data(), levels, below,
+                               tolerances, uncertain);
+    // Uncertain lanes: redraw the trial's exact deviates and redo that
+    // lane's masks from them.
+    for_each_lane(uncertain, words, [&](std::size_t t) {
+      redraw_exact(t);
+      ensure(scratch.exact_below, cells * levels);
+      std::uint64_t* exact = scratch.exact_below.data();
+      decoder::below_level_masks(slab + t, lane_stride, cells, 1,
+                                 nominal_vt_.data(), scales,
+                                 drive_levels_.data(), levels, exact);
+      const std::uint64_t bit = 1ULL << (t % 64);
+      for (std::size_t r = 0; r < cells * levels; ++r) {
+        std::uint64_t& word = below[r * words + t / 64];
+        word = (word & ~bit) | (exact[r] != 0 ? bit : 0);
+      }
+    });
     // The groups partition members_, so group g's verdict rows land at
     // their member positions; counting below maps them back to nanowires.
     const std::size_t groups = member_offsets_.size() - 1;
     for (std::size_t g = 0; g < groups; ++g) {
       const std::size_t begin = member_offsets_[g];
       decoder::addressable_group_masks(
-          scratch.below.data(), design_.pattern().row_ptr(0), regions_,
+          below, design_.pattern().row_ptr(0), regions_,
           levels, words, members_.data() + begin,
           member_offsets_[g + 1] - begin, verdicts + begin * words);
     }

@@ -20,7 +20,10 @@
 //   1. deviates: standard_normal_block seeds and twists every trial's
 //      mt19937_64 stream lane-parallel and writes each trial's N*M normals
 //      down its lane of a structure-of-arrays slab, then the trial's tail
-//      uniforms (defect and discard draws);
+//      uniforms (defect and discard draws). Stream positions and tail
+//      uniforms are exact; the normals are certified to deviate_rel_bound
+//      of the scalar stream's (util/rng.h), because their polar multiplier
+//      comes from a lane-parallel polynomial log;
 //   2. survival: the tail uniforms become per-nanowire lane masks;
 //   3. verdicts: V_T = nominal + sigma * sqrt(nu) * z, the scalar path's
 //      expression. The operational criterion realizes each (nanowire,
@@ -31,6 +34,22 @@
 //      is the only question the scalar rule asks. The window criterion
 //      realizes the slab in place and sweeps margins per nanowire.
 //      Survivors' verdict bits are counted per lane.
+//
+// The verdict certificate. A deviate feeds only comparisons, so its exact
+// value matters only within rounding distance of a threshold. The compare
+// pass (operational) and the in-place realization (window) therefore also
+// mark every lane whose realized V_T lies within a certification band of
+// a drive level, or whose |V_T - nominal| lies within the band of the
+// window half-width. The band is the deviate bound at the largest |z| a
+// polar deviate reaches, doubled, plus a few ulp (~1e-13 V at the paper's
+// sigma). Each marked lane is redrawn from its exact per-trial stream
+// (block_rng::from_counter(run_key, trial).standard_normal_fill, the
+// scalar path's draws) and its masks are redone, so every good count is
+// exactly run_trial's whatever the multiplier's last bits; exactness rests
+// only on libm's log being within deviate_rel_bound. The fallback is the
+// exact stream itself, not a mode: there is no switch, and
+// trial_scratch::fallback_lanes counts how often it ran (0 in practice:
+// the band is ~1e-12 of a sigma wide).
 // Both paths touch only these tables plus a caller-owned trial_scratch,
 // so the inner loops perform no heap allocation once warm and are safe to
 // run from many threads at once (the context is immutable after
@@ -77,6 +96,15 @@ struct trial_scratch {
   lane_rng_scratch streams;            ///< the block's generator state
   std::vector<double> tail_uniforms;   ///< trials x tail draws
   std::vector<std::uint8_t> disabled;  ///< per-nanowire defect verdicts
+  std::vector<double> tolerances;      ///< per-cell certification bands
+  std::vector<std::uint64_t> uncertain;    ///< lanes to re-derive exactly
+  std::vector<std::uint8_t> near;          ///< window: per-lane flags
+  std::vector<std::uint64_t> exact_below;  ///< one lane's exact masks
+  /// Lanes whose verdicts run_trial_block re-derived from the exact
+  /// per-trial stream because a realized value sat within the
+  /// certification band of a threshold. Cumulative over the scratch's
+  /// blocks; it only counts, and never changes a result.
+  std::size_t fallback_lanes = 0;
 };
 
 /// Immutable precomputed view of one (design, contact plan) pair, shared by
@@ -111,11 +139,13 @@ class trial_context {
   /// rng::from_counter(run_key, i), exactly as run_trial does -- and writes
   /// trial first + t's addressable count into good[t]. Bit-identical to
   /// `count` scalar run_trial calls for every count: standard_normal_block
-  /// reproduces each trial's deviates and tail draws draw for draw, the
-  /// V_T transform applies the same expression per cell, and the lane
-  /// masks record the same comparisons (see the header comment). The
-  /// speedup comes from structure -- lane-parallel stream seeding and
-  /// twisting, one compare pass per (row, region, level), verdicts as
+  /// reproduces each trial's stream positions and tail draws exactly and
+  /// its deviates within deviate_rel_bound, the V_T transform applies the
+  /// same expression per cell, the lane masks record the same comparisons,
+  /// and the verdict certificate redraws exactly every lane a deviate's
+  /// last bits could flip (see the header comment). The speedup comes
+  /// from structure -- lane-parallel stream seeding, twisting and polar
+  /// multipliers, one compare pass per (row, region, level), verdicts as
   /// bitwise ANDs and ORs -- not from changing any draw or any verdict.
   void run_trial_block(std::uint64_t run_key, std::uint64_t first,
                        std::size_t count, trial_scratch& scratch, mc_mode mode,
@@ -135,6 +165,7 @@ class trial_context {
 
   std::vector<double> drive_table_;    ///< N x M, row i = drive of address i
   std::vector<double> drive_levels_;   ///< drive voltage of each digit value
+  double level_magnitude_ = 0.0;       ///< max |drive level|
   std::vector<double> nominal_vt_;     ///< N x M nominal levels
   std::vector<double> noise_scale_;    ///< N x M, sqrt(nu(i,j))
   /// N x M lower window guards: -window_half_width where the digit has

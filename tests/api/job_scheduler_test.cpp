@@ -116,6 +116,49 @@ TEST(JobSchedulerTest, CapturesEngineFailuresAsFailedJobs) {
   EXPECT_EQ(scheduler.stats().failed, 1u);
 }
 
+TEST(JobSchedulerTest, CollectReleasesOnlyResultsNoRetryCanFetch) {
+  // collect() is the synchronous submitter's wait: the response carries
+  // the result and the id is never sent, so a done job without a
+  // request_id keeps only its status (the trace included); a keyed job
+  // keeps its result for retries, and a failed one its error.
+  service::sweep_service service = make_service();
+  job_scheduler scheduler(service, {1, 64});
+
+  const std::uint64_t plain = scheduler.submit(make_sweep(0.05, 60));
+  const std::optional<job_result> delivered = scheduler.collect(plain);
+  ASSERT_TRUE(delivered.has_value());
+  EXPECT_EQ(delivered->status.state, job_state::done);
+  ASSERT_NE(delivered->sweep, nullptr);
+  EXPECT_EQ(delivered->sweep->points.size(), 1u);
+  const std::optional<job_result> after = scheduler.inspect(plain);
+  ASSERT_TRUE(after.has_value());
+  EXPECT_EQ(after->status.state, job_state::done);
+  EXPECT_TRUE(after->trace.ran);
+  EXPECT_EQ(after->sweep, nullptr);
+  EXPECT_EQ(scheduler.subscribe(plain, 0), nullptr);
+
+  sweep_request keyed_request = make_sweep(0.06, 60);
+  keyed_request.header.request_id = "retry-me";
+  const std::uint64_t keyed = scheduler.submit(keyed_request);
+  ASSERT_TRUE(scheduler.collect(keyed).has_value());
+  const std::optional<job_result> kept = scheduler.inspect(keyed);
+  ASSERT_TRUE(kept.has_value());
+  EXPECT_NE(kept->sweep, nullptr);
+  EXPECT_NE(scheduler.subscribe(keyed, 0), nullptr);
+  bool deduplicated = false;
+  EXPECT_EQ(scheduler.submit(keyed_request, &deduplicated), keyed);
+  EXPECT_TRUE(deduplicated);
+
+  sweep_request bad = make_sweep(0.05, 0);
+  bad.lengths = {7};
+  const std::uint64_t failed = scheduler.submit(bad);
+  ASSERT_TRUE(scheduler.collect(failed).has_value());
+  const std::optional<job_result> failure = scheduler.inspect(failed);
+  ASSERT_TRUE(failure.has_value());
+  EXPECT_EQ(failure->status.state, job_state::failed);
+  EXPECT_FALSE(failure->status.error.empty());
+}
+
 TEST(JobSchedulerTest, CancelReachesQueuedJobsOnly) {
   service::sweep_service service = make_service();
   job_scheduler scheduler(service, {1, 64});

@@ -228,6 +228,23 @@ TEST(RobustnessTest, DispatcherCancelOfRunningJobReportsCancelling) {
   EXPECT_NE(final_state.find("\"state\":\"cancelled\""), std::string::npos);
 }
 
+TEST(RobustnessTest, StatusOfACollectedSyncJobKeepsItsTraceNotItsResult) {
+  // A synchronous sweep's response carried its result; status of its job
+  // still reports the state and the trace, and says where the result went.
+  service::sweep_service service = make_service();
+  dispatcher handler(service, {1, 64});
+  const std::string answered = handler.handle_line(
+      R"({"id":1,"kind":"sweep","codes":["BGC"],"lengths":[8],"trials":40})");
+  EXPECT_NE(answered.find("\"result\""), std::string::npos) << answered;
+  const std::string status =
+      handler.handle_line(R"({"id":2,"kind":"status","job":1})");
+  EXPECT_NE(status.find("\"state\":\"done\""), std::string::npos) << status;
+  EXPECT_NE(status.find("\"trace\""), std::string::npos) << status;
+  EXPECT_NE(status.find("\"result_delivered\":true"), std::string::npos)
+      << status;
+  EXPECT_EQ(status.find("\"result\":"), std::string::npos) << status;
+}
+
 TEST(RobustnessTest, DispatcherVerdictMatchesItsRenderedResponse) {
   // answer() hands transports the verdict instead of making them parse
   // the response back; it must say exactly what the line says.

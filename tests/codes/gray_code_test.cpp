@@ -7,6 +7,8 @@
 
 #include "codes/metrics.h"
 #include "codes/tree_code.h"
+#include "gray_oracle.h"
+#include "util/rng.h"
 
 namespace nwdec::codes {
 namespace {
@@ -83,6 +85,28 @@ TEST(GrayCodeTest, EncodeDecodeRoundTrip) {
   }
   // Full-width values survive the shift-xor fold.
   EXPECT_EQ(gray_decode(gray_encode(~std::uint64_t{0})), ~std::uint64_t{0});
+}
+
+// Identity of the shift-xor encode and log-shift decode against the loop
+// oracle: every 24-bit value, plus 2^20 seeded full-width values. The
+// exhaustive 32-bit sweep is GrayCodeLongTest (label `long`, built with
+// -DNWDEC_LONG_TESTS=ON).
+TEST(GrayCodeTest, EncodeDecodeMatchLoopOracleOn24BitsAndSeeded64Bit) {
+  std::uint64_t mismatches = 0;
+  for (std::uint64_t v = 0; v < (std::uint64_t{1} << 24); ++v) {
+    mismatches += gray_encode(v) != testkit::loop_gray_encode(v);
+    mismatches += gray_decode(v) != testkit::loop_gray_decode(v);
+    mismatches += gray_decode(gray_encode(v)) != v;
+  }
+  EXPECT_EQ(mismatches, 0u) << "24-bit sweep";
+  std::uint64_t state = 0x9e3779b97f4a7c15ULL;
+  for (std::size_t k = 0; k < (std::size_t{1} << 20); ++k) {
+    const std::uint64_t v = rng::counter_seed(state, k);
+    mismatches += gray_encode(v) != testkit::loop_gray_encode(v);
+    mismatches += gray_decode(v) != testkit::loop_gray_decode(v);
+    mismatches += gray_decode(gray_encode(v)) != v;
+  }
+  EXPECT_EQ(mismatches, 0u) << "seeded 64-bit values";
 }
 
 TEST(GrayCodeTest, EncodeMatchesReflectedWordSequence) {

@@ -11,6 +11,7 @@
 
 #include <filesystem>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "core/sweep_engine.h"
@@ -54,14 +55,21 @@ std::string render_entry(std::uint64_t fingerprint,
   return json.str();
 }
 
+// A scratch directory private to this process: ctest runs each test of
+// this suite as its own process, in parallel under -j, so a shared name
+// would let one test's cleanup delete another's files mid-cycle.
 class temp_dir {
  public:
   explicit temp_dir(const std::string& name)
-      : path_(std::filesystem::temp_directory_path() / name) {
+      : path_(std::filesystem::temp_directory_path() /
+              (name + "_" + std::to_string(::getpid()))) {
     std::filesystem::remove_all(path_);
     std::filesystem::create_directories(path_);
   }
-  ~temp_dir() { std::filesystem::remove_all(path_); }
+  ~temp_dir() {
+    std::error_code ignored;
+    std::filesystem::remove_all(path_, ignored);
+  }
   std::string file(const std::string& name) const {
     return (path_ / name).string();
   }

@@ -2,11 +2,16 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <cmath>
+#include <cstdio>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "util/cpu.h"
 #include "util/error.h"
+#include "util/rng_kernels.h"
 #include "util/stats.h"
 
 namespace nwdec {
@@ -301,6 +306,27 @@ TEST(BlockRngTest, BulkFillsAreBitIdenticalAcrossSimdPaths) {
   }
 }
 
+// The plain paths keep std::log for the polar multiplier (util/rng.h).
+bool exact_multiplier_path(cpu::simd_path path) {
+  return path == cpu::simd_path::scalar || path == cpu::simd_path::sse2;
+}
+
+// standard_normal_block's certified deviate contract: within
+// deviate_rel_bound of the exact deviate (util/rng.h), bit-exact on the
+// plain paths.
+::testing::AssertionResult within_deviate_bound(double exact, double got) {
+  const bool exact_path = exact_multiplier_path(cpu::active_path());
+  const double error = got > exact ? got - exact : exact - got;
+  const double exact_magnitude = exact < 0 ? -exact : exact;
+  if (exact_path ? got == exact
+                 : error <= deviate_rel_bound * exact_magnitude) {
+    return ::testing::AssertionSuccess();
+  }
+  return ::testing::AssertionFailure()
+         << "deviate " << got << " vs exact " << exact << " (error "
+         << error << ")";
+}
+
 TEST(BlockRngTest, StandardNormalBlockMatchesPerTrialStreams) {
   const std::uint64_t key = 77;
   const std::size_t trials = 11, count = 23, lane_stride = 16, tail = 9;
@@ -314,7 +340,8 @@ TEST(BlockRngTest, StandardNormalBlockMatchesPerTrialStreams) {
     std::vector<double> expected(count);
     reference.standard_normal_fill(expected.data(), count);
     for (std::size_t k = 0; k < count; ++k) {
-      ASSERT_EQ(expected[k], lanes[k * lane_stride + t])
+      ASSERT_TRUE(
+          within_deviate_bound(expected[k], lanes[k * lane_stride + t]))
           << "trial " << t << " deviate " << k;
     }
     // The tail uniforms continue trial t's stream exactly where rng would.
@@ -329,7 +356,8 @@ TEST(BlockRngTest, StandardNormalBlockMatchesPerTrialStreams) {
 // std::mt19937_64 through rng, on every dispatch path.
 
 // Checks one block: every lane's deviates against rng::standard_normal_fill
-// and its tail uniforms against the draws rng makes next.
+// (within the certified bound) and its tail uniforms, bit for bit, against
+// the draws rng makes next -- so every lane's stream position is pinned.
 void expect_block_matches_rng(std::uint64_t key, std::uint64_t first,
                               std::size_t trials, std::size_t count,
                               std::size_t tail, const std::string& what) {
@@ -344,7 +372,8 @@ void expect_block_matches_rng(std::uint64_t key, std::uint64_t first,
     std::vector<double> expected(count);
     reference.standard_normal_fill(expected.data(), count);
     for (std::size_t k = 0; k < count; ++k) {
-      ASSERT_EQ(expected[k], lanes[k * lane_stride + t])
+      ASSERT_TRUE(
+          within_deviate_bound(expected[k], lanes[k * lane_stride + t]))
           << what << " trial " << t << " deviate " << k;
     }
     for (std::size_t k = 0; k < tail; ++k) {
@@ -407,10 +436,154 @@ TEST(LaneStreamTest, ScratchReuseAcrossBlockShapes) {
       std::vector<double> expected(count);
       reference.standard_normal_fill(expected.data(), count);
       for (std::size_t k = 0; k < count; ++k) {
-        ASSERT_EQ(expected[k], lanes[k * trials + t]) << trials;
+        ASSERT_TRUE(
+            within_deviate_bound(expected[k], lanes[k * trials + t]))
+            << trials;
       }
       ASSERT_EQ(reference.uniform(), tails[2 * t]) << trials;
     }
+  }
+}
+
+// --- DeviateBoundTest: the lane-parallel polar multiplier of every
+// compiled path against std::log, over random candidates and the edge
+// classes of r2.
+
+// Inverse of mt19937_64's output tempering, so a test can feed lane_pairs
+// the state words whose canonicals are chosen values.
+std::uint64_t untemper(std::uint64_t y) {
+  const auto undo_right = [](std::uint64_t v, int shift, std::uint64_t mask) {
+    std::uint64_t z = v;
+    for (int i = 0; i < 64 / shift + 1; ++i) z = v ^ ((z >> shift) & mask);
+    return z;
+  };
+  const auto undo_left = [](std::uint64_t v, int shift, std::uint64_t mask) {
+    std::uint64_t z = v;
+    for (int i = 0; i < 64 / shift + 1; ++i) z = v ^ ((z << shift) & mask);
+    return z;
+  };
+  y = undo_right(y, 43, ~0ULL);
+  y = undo_left(y, 37, 0xfff7eee000000000ULL);
+  y = undo_left(y, 17, 0x71d67fffeda60000ULL);
+  return undo_right(y, 29, 0x5555555555555555ULL);
+}
+
+// The state word whose canonical is U * 2^-64 (U exactly representable).
+std::uint64_t word_for_unit(std::uint64_t scaled) { return untemper(scaled); }
+
+// Runs 32 pairs x 8 lanes of words through `table`'s lane_pairs and
+// checks every accepted candidate's deviates against the exact expression
+// (block_rng's std::log multiplier on the exact x, y, r2 of the scalar
+// pairs_from_words). Returns the largest relative deviate error seen.
+double check_lane_pairs(const detail::rng_kernel_table& table,
+                        const detail::rng_kernel_table& exact,
+                        const std::uint64_t* rows, std::size_t& accepted_seen,
+                        const std::string& what) {
+  constexpr std::size_t pairs = 32, group = detail::lane_group;
+  double zx[pairs * group], zy[pairs * group];
+  std::uint32_t accepted[group];
+  table.lane_pairs(rows, pairs, zx, zy, accepted);
+  double worst = 0.0;
+  for (std::size_t l = 0; l < group; ++l) {
+    std::uint64_t words[2 * pairs];
+    for (std::size_t p = 0; p < pairs; ++p) {
+      words[2 * p] = rows[2 * p * group + l];
+      words[2 * p + 1] = rows[(2 * p + 1) * group + l];
+    }
+    double px[pairs], py[pairs], pr2[pairs];
+    exact.pairs_from_words(words, pairs, px, py, pr2);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      const bool ok = pr2[p] <= 1.0 && pr2[p] != 0.0;
+      if (ok != (((accepted[l] >> p) & 1u) != 0)) {
+        ADD_FAILURE() << what << " acceptance of r2 " << pr2[p];
+      }
+      if (!ok) continue;
+      ++accepted_seen;
+      const double mult = std::sqrt(-2.0 * std::log(pr2[p]) / pr2[p]);
+      const double slot = p * group + l;
+      for (const auto& [exact_z, got] :
+           {std::pair{py[p] * mult, zy[static_cast<std::size_t>(slot)]},
+            std::pair{px[p] * mult, zx[static_cast<std::size_t>(slot)]}}) {
+        const double error = std::abs(got - exact_z);
+        if (!(error <= deviate_rel_bound * std::abs(exact_z)) ||
+            !(std::abs(got) <= deviate_abs_bound)) {
+          ADD_FAILURE() << what << " r2 " << pr2[p] << ": deviate " << got
+                        << " vs exact " << exact_z;
+        }
+        if (exact_z != 0.0) worst = std::max(worst, error / std::abs(exact_z));
+      }
+    }
+  }
+  return worst;
+}
+
+TEST(DeviateBoundTest, RandomCandidatesStayWithinTheBoundOnEveryPath) {
+  const detail::rng_kernel_table& exact = *detail::scalar_rng_kernel_table();
+  for (const cpu::simd_path path : cpu::available_paths()) {
+    const detail::rng_kernel_table& table = *detail::rng_kernel_table_for(path);
+    block_rng words(0xb0a7ULL + static_cast<std::uint64_t>(path));
+    std::vector<std::uint64_t> rows(64 * detail::lane_group);
+    std::size_t accepted = 0;
+    double worst = 0.0;
+    // 10^7 candidate r2 values: 39063 calls of 256 candidates.
+    for (std::size_t call = 0; call < 39063; ++call) {
+      for (std::uint64_t& word : rows) word = words.next();
+      worst = std::max(worst, check_lane_pairs(table, exact, rows.data(),
+                                               accepted,
+                                               cpu::simd_path_name(path)));
+      if (HasFailure()) return;
+    }
+    EXPECT_GT(accepted, 7000000u);
+    if (exact_multiplier_path(path)) {
+      EXPECT_EQ(worst, 0.0);
+    }
+    std::printf("[ deviate  ] %s: %zu accepted, max relative error %.3g\n",
+                cpu::simd_path_name(path), accepted, worst);
+  }
+}
+
+TEST(DeviateBoundTest, EdgeClassesOfR2) {
+  // Canonicals u = U * 2^-64 with x = 2u - 1: U = 0 gives x = -1,
+  // U = 2^63 gives x = 0, U = 2^10 gives x = -1 + 2^-53, and
+  // U = 2^63 - 2^10 gives x = -2^-53, the smallest nonzero |x| (canonicals
+  // in [1/4, 1/2) are spaced 2^-54).
+  const std::uint64_t minus_one = 0, zero = 1ULL << 63,
+                      near_minus_one = 1ULL << 10,
+                      tiny = (1ULL << 63) - (1ULL << 10);
+  const std::pair<std::uint64_t, std::uint64_t> cases[] = {
+      {minus_one, zero},       // r2 == 1: the multiplier is exactly 0
+      {zero, minus_one},       // r2 == 1, y = -1
+      {near_minus_one, zero},  // r2 = 1 - 2^-52, just below 1
+      {zero, near_minus_one},
+      {tiny, zero},            // r2 = 2^-106, the smallest nonzero r2
+      {zero, tiny},
+      {tiny, tiny},            // r2 = 2^-105
+      {zero, zero},            // r2 == 0: rejected
+  };
+  const detail::rng_kernel_table& exact = *detail::scalar_rng_kernel_table();
+  for (const cpu::simd_path path : cpu::available_paths()) {
+    const detail::rng_kernel_table& table = *detail::rng_kernel_table_for(path);
+    // Every pair slot of every lane holds one of the cases, cycling.
+    std::vector<std::uint64_t> rows(64 * detail::lane_group);
+    for (std::size_t p = 0; p < 32; ++p) {
+      for (std::size_t l = 0; l < detail::lane_group; ++l) {
+        const auto& [x, y] = cases[(p * detail::lane_group + l) % 8];
+        rows[2 * p * detail::lane_group + l] = word_for_unit(x);
+        rows[(2 * p + 1) * detail::lane_group + l] = word_for_unit(y);
+      }
+    }
+    std::size_t accepted = 0;
+    check_lane_pairs(table, exact, rows.data(), accepted,
+                     cpu::simd_path_name(path));
+    EXPECT_EQ(accepted, 32u * detail::lane_group * 7 / 8);
+    // At r2 == 1 the deviates are exactly zero on every path.
+    double zx[32 * detail::lane_group], zy[32 * detail::lane_group];
+    std::uint32_t mask[detail::lane_group];
+    table.lane_pairs(rows.data(), 32, zx, zy, mask);
+    EXPECT_EQ(zx[0], 0.0);
+    EXPECT_EQ(zy[0], 0.0);
+    EXPECT_EQ(zx[1], 0.0);
+    EXPECT_EQ(zy[1], 0.0);
   }
 }
 
