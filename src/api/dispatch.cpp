@@ -53,10 +53,7 @@ dispatcher::dispatcher(service::sweep_service& service)
     : dispatcher(service, options()) {}
 
 dispatcher::dispatcher(service::sweep_service& service, options opts)
-    : service_(service),
-      scheduler_(service, {opts.workers, opts.retain_finished,
-                           opts.max_queued, opts.slow_request_ms,
-                           opts.dedup_window}) {}
+    : service_(service), scheduler_(service, opts) {}
 
 std::string dispatcher::handle_line(const std::string& line) {
   return dispatch(line, nullptr).line;

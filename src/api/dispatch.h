@@ -65,21 +65,8 @@ struct reply {
 
 class dispatcher {
  public:
-  struct options {
-    /// Scheduler worker threads (0 = hardware concurrency).
-    std::size_t workers = 1;
-    /// Finished jobs retained for status fetches.
-    std::size_t retain_finished = 1024;
-    /// Scheduler queue bound: submissions past this many waiting jobs get
-    /// an "overloaded" error response (0 = unbounded).
-    std::size_t max_queued = 4096;
-    /// Jobs whose submit->terminal wall exceeds this are logged as
-    /// `slow_request` warn records (0 = never; the daemon's --slow-ms).
-    std::size_t slow_request_ms = 1000;
-    /// request_id idempotency keys remembered for duplicate-submit
-    /// detection (the daemon's --dedup-window; 0 disables).
-    std::size_t dedup_window = 4096;
-  };
+  /// The scheduler's settings: a dispatcher adds none of its own.
+  using options = job_scheduler::options;
 
   explicit dispatcher(service::sweep_service& service);
   dispatcher(service::sweep_service& service, options opts);

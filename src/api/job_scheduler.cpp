@@ -766,8 +766,8 @@ void job_scheduler::run_sweep_batch(std::unique_lock<std::mutex>& lock) {
   // job's cancel/deadline must not discard its batchmates' work -- so
   // each job re-evaluates alone with only its own check and carries only
   // its own diagnostic. Payload purity makes the solo rerun bit-identical
-  // to its share of the batch, and the store makes the rerun cheap (the
-  // aborted batch's completed points were already inserted).
+  // to its share of the batch. The rerun recomputes its points (an aborted
+  // evaluation stores nothing) on the designs the batch already built.
   std::vector<service::sweep_response> solo(batch.size());
   std::vector<service::eval_trace> solo_trace(batch.size());
   std::vector<job_state> solo_state(batch.size(), job_state::done);

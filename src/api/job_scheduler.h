@@ -81,9 +81,9 @@ struct submit_outcome {
 class job_scheduler {
  public:
   struct options {
-    /// Worker threads draining the job queue. More workers mean more
-    /// concurrent engine runs (the engine itself is thread-safe); results
-    /// never depend on the count.
+    /// Worker threads draining the job queue (0 = thread_budget()). More
+    /// workers mean more concurrent engine runs (the engine itself is
+    /// thread-safe); results never depend on the count.
     std::size_t workers = 1;
     /// Finished jobs retained for status/result fetches.
     std::size_t retain_finished = 1024;

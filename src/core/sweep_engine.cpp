@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <charconv>
 #include <chrono>
+#include <cmath>
 #include <cstring>
 #include <unordered_map>
 
@@ -113,6 +114,48 @@ std::uint64_t fingerprint(const sweep_request& request) {
   return h;
 }
 
+void adaptive_options::validate() const {
+  NWDEC_EXPECTS(target_half_width > 0.0 && target_half_width < 1.0,
+                "target_half_width must lie in (0, 1)");
+  NWDEC_EXPECTS(initial_batch >= 1, "initial_batch must be at least 1");
+  NWDEC_EXPECTS(growth > 1.0, "growth must exceed 1 (the schedule must grow)");
+}
+
+std::uint64_t adaptive_options::fingerprint() const {
+  // Same splitmix64 cascade as fingerprint(sweep_request), over the policy
+  // fields; the leading constant differs so a policy fingerprint never
+  // collides with the "fixed budget" sentinel 0 by construction of the
+  // chain.
+  std::uint64_t h = 0xa0761d6478bd642fULL;
+  const auto mix_in = [&h](std::uint64_t v) {
+    h = rng::from_counter(h, v).seed();
+  };
+  std::uint64_t bits = 0;
+  std::memcpy(&bits, &target_half_width, sizeof(bits));
+  mix_in(bits);
+  mix_in(initial_batch);
+  std::memcpy(&bits, &growth, sizeof(bits));
+  mix_in(bits);
+  return h;
+}
+
+std::size_t next_batch(const adaptive_options& policy,
+                       std::size_t trials_done, double half_width) {
+  if (trials_done == 0) return policy.initial_batch;
+  if (half_width <= policy.target_half_width) return 0;
+  // Grow the *total* geometrically, anchored at the absolute rungs
+  // ceil(initial_batch * growth^k) -- a pure function of the policy,
+  // never of where the run started. A run resumed from persisted progress
+  // therefore visits exactly the rungs a cold run visits (the sweep
+  // service's cross-restart top-up rides this), while a hard point still
+  // needs only O(log(total)) convergence checks.
+  double total = static_cast<double>(policy.initial_batch);
+  const double done = static_cast<double>(trials_done);
+  while (std::ceil(total) <= done && total < 1e18) total *= policy.growth;
+  const double rung = std::min(std::ceil(total), 1e18);
+  return static_cast<std::size_t>(rung) - trials_done;
+}
+
 namespace {
 
 // Field-wise equality of resolved requests, used to tell a genuine
@@ -144,7 +187,7 @@ sweep_engine::sweep_engine(crossbar::crossbar_spec spec,
 sweep_engine::~sweep_engine() = default;
 
 const sweep_engine::prepared_design& sweep_engine::prepare_locked(
-    const sweep_request& request) const {
+    const sweep_request& request, const cancel_check_fn& check) const {
   const design_key key{static_cast<int>(request.design.type),
                        request.design.radix, request.design.length,
                        request.nanowires};
@@ -154,6 +197,7 @@ const sweep_engine::prepared_design& sweep_engine::prepare_locked(
     ++stats_.design_reuses;
     entry = found->second.get();
   } else {
+    if (check) check();
     codes::code code = codes::make_code(request.design.type,
                                         request.design.radix,
                                         request.design.length);
@@ -181,6 +225,7 @@ const sweep_engine::prepared_design& sweep_engine::prepare_locked(
     ++stats_.designs_built;
   }
   if (request.mc_trials > 0 && entry->context == nullptr) {
+    if (check) check();
     entry->context = std::make_unique<yield::trial_context>(entry->design,
                                                             *entry->plan);
   }
@@ -188,10 +233,16 @@ const sweep_engine::prepared_design& sweep_engine::prepare_locked(
 }
 
 sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
-                                      const sweep_engine_options& options)
-    const {
+                                      const sweep_engine_options& options,
+                                      const std::vector<mc_plan>& mc_plans,
+                                      const cancel_check_fn& check) const {
   NWDEC_EXPECTS(!points.empty(),
                 "a design-space sweep needs at least one grid point");
+  NWDEC_EXPECTS(mc_plans.empty() || mc_plans.size() == points.size(),
+                "a sweep needs one Monte-Carlo plan per grid point");
+  for (const mc_plan& plan : mc_plans) {
+    if (plan.adaptive.has_value()) plan.adaptive->validate();
+  }
 
   const std::size_t budget =
       options.threads == 0 ? thread_budget() : options.threads;
@@ -201,7 +252,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
   // Prepare phase: resolve platform defaults and bind every point to its
   // cache entry. All cache mutation happens here, under the lock; bad grid
   // points fail fast with the factory's diagnostics before any thread
-  // starts.
+  // starts, and the cancel check runs before each build.
   std::vector<sweep_request> resolved(points);
   std::vector<const prepared_design*> prepared(points.size(), nullptr);
   std::vector<std::uint64_t> fingerprints(points.size(), 0);
@@ -213,7 +264,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
       sweep_request& request = resolved[k];
       request = resolve(request);
       if (request.defects.has_value()) request.defects->validate();
-      prepared[k] = &prepare_locked(request);
+      prepared[k] = &prepare_locked(request, check);
       // Fingerprint uniqueness check (see the fingerprint() contract):
       // distinct resolved points must never alias one run key / cache slot.
       fingerprints[k] = fingerprint(request);
@@ -228,6 +279,7 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
   // depends only on (seed, the point itself), so the result is independent
   // of the sharding, the grid order, and the other grid points.
   std::vector<sweep_engine_entry> entries(points.size());
+  const mc_plan fixed_plan;
   parallel_for(points.size(), workers, [&](std::size_t, std::size_t k) {
     const sweep_request& request = resolved[k];
     const prepared_design& p = *prepared[k];
@@ -259,39 +311,30 @@ sweep_engine_report sweep_engine::run(const std::vector<sweep_request>& points,
           rng::from_counter(options.seed, fingerprints[k]).seed();
 
       const auto started = std::chrono::steady_clock::now();
-      yield::mc_run_state state;
-      if (options.mc_resume) {
-        // Seed the accumulator from persisted progress. The per-trial
-        // streams are counter-based, so the state at any total is
-        // bit-identical whether the prefix ran here or in an earlier
-        // process -- resuming only moves where the spend starts.
-        if (const std::optional<mc_resume_point> seed =
-                options.mc_resume(request)) {
-          state = yield::mc_run_state::from_moments(seed->trials, seed->mean,
-                                                    seed->m2);
-        }
-      }
-      // One loop for both budgets: a fixed budget is a single batch of the
-      // remaining trials; an mc_budget hook sizes each batch from the
-      // running Wilson estimate, request.mc_trials capping the schedule.
-      // The per-trial streams are counter-based, so any schedule summing
-      // to T is bit-identical to one T-trial batch.
+      const mc_plan& plan = mc_plans.empty() ? fixed_plan : mc_plans[k];
+      yield::mc_run_state state = plan.resume.value_or(yield::mc_run_state{});
+      // One loop for every budget: the goal is the cap for a fixed budget
+      // and the next absolute rung for an adaptive one, reached in chunks
+      // with the cancel check before each. The per-trial streams are
+      // counter-based, so any schedule summing to T -- resumed prefix
+      // included -- is bit-identical to one T-trial batch.
       yield::mc_yield_result result = yield::mc_result_from_state(state);
       while (state.trials() < request.mc_trials) {
-        std::size_t batch = request.mc_trials - state.trials();
-        if (options.mc_budget) {
-          mc_budget_status status;
-          status.trials_done = state.trials();
-          status.nanowire_yield = state.mean();
-          status.wilson_half_width = wilson_half_width(
-              state.mean() * static_cast<double>(state.trials()),
-              static_cast<double>(state.trials()));
-          batch = std::min(batch, options.mc_budget(request, status));
+        std::size_t goal = request.mc_trials;
+        if (plan.adaptive.has_value()) {
+          const double done = static_cast<double>(state.trials());
+          const std::size_t batch =
+              next_batch(*plan.adaptive, state.trials(),
+                         wilson_half_width(state.mean() * done, done));
           if (batch == 0) break;
+          goal = std::min(goal, state.trials() + batch);
         }
-        mc.trials = batch;
-        result =
-            yield::monte_carlo_yield_resume(*p.context, mc, run_key, state);
+        while (state.trials() < goal) {
+          if (check) check();
+          mc.trials = std::min(goal - state.trials(), mc_chunk_trials);
+          result =
+              yield::monte_carlo_yield_resume(*p.context, mc, run_key, state);
+        }
       }
       const auto finished = std::chrono::steady_clock::now();
 

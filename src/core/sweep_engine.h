@@ -16,9 +16,15 @@
 //   * Design points are sharded across workers by util/parallel's
 //     parallel_for (one atomic cursor); the thread budget (options.threads,
 //     0 = thread_budget()) is split as budget / workers runners for each
-//     point's Monte-Carlo leg. That leg is one call path: batches of
-//     yield::monte_carlo_yield_resume, which runs fixed blocks of
-//     yield::mc_default_block_size trials. It always uses the run key
+//     point's Monte-Carlo leg. That leg is one call path: chunks of at
+//     most mc_chunk_trials through yield::monte_carlo_yield_resume, which
+//     runs fixed blocks of yield::mc_default_block_size trials. How far a
+//     leg runs is the point's mc_plan -- plain data: a fixed trial
+//     count, or a Wilson half-width target walked along absolute rungs
+//     (next_batch), optionally resumed from persisted (trials, mean, M2).
+//     One run() serves a grid whose points carry different budgets; a
+//     native cancel check (cancel_check_fn) runs before each design build
+//     and each chunk. The leg always uses the run key
 //     rng::from_counter(seed, fingerprint) where the fingerprint is a pure
 //     function of the resolved request, and the per-trial streams are
 //     counter-based -- so results are bit-identical for any thread count,
@@ -68,6 +74,7 @@
 #include "crossbar/geometry.h"
 #include "device/tech_params.h"
 #include "fab/defects.h"
+#include "yield/monte_carlo_yield.h"
 #include "yield/trial_context.h"
 
 namespace nwdec::core {
@@ -120,43 +127,66 @@ struct sweep_axes {
 ///     rejects them via its header check, it never misreads them).
 std::uint64_t fingerprint(const sweep_request& request);
 
-/// Progress snapshot handed to the Monte-Carlo budget hook after each batch
-/// (and once before the first, with zero trials).
-struct mc_budget_status {
-  std::size_t trials_done = 0;
-  double nanowire_yield = 0.0;     ///< running mean over trials_done
-  /// Wilson CI half-width (z = 1.96) of the running estimate, treating each
-  /// trial's yield fraction as one observation; 1.0 before any trial.
-  double wilson_half_width = 1.0;
+/// A cooperative cancellation/deadline check: run() calls it before each
+/// design build of its prepare phase and before each Monte-Carlo chunk of
+/// every point, and it aborts the run by THROWING (cancelled_error /
+/// timeout_error by convention); the exception propagates out of run() at
+/// any thread budget. It is called concurrently from workers, and in the
+/// prepare phase under the engine's cache lock, so it must neither block
+/// nor call back into the engine. An empty function disables checking.
+using cancel_check_fn = std::function<void()>;
+
+/// Most trials one Monte-Carlo call runs: every leg runs in chunks of at
+/// most this many trials with the cancel check before each, so a check
+/// fires at least once per this many trials of a point. Chunking never
+/// changes the bits (yield::mc_run_state contract).
+inline constexpr std::size_t mc_chunk_trials = 65536;
+
+/// CI-width stopping policy of a point's Monte-Carlo leg (the ROADMAP's
+/// "confidence-driven adaptive trial budgets"; service/adaptive_budget.h
+/// describes how the sweep service applies it).
+struct adaptive_options {
+  /// Stop once the Wilson half-width of the yield estimate is <= this.
+  double target_half_width = 0.02;
+  /// Trials of the first batch (also the minimum spend per point).
+  std::size_t initial_batch = 64;
+  /// Total-trials growth per round: convergence checks happen at the
+  /// absolute rungs ceil(initial_batch * growth^k). The rungs are a pure
+  /// function of this policy -- never of where a run started -- so a run
+  /// resumed from persisted progress visits exactly the rungs a cold run
+  /// visits. Must be > 1.
+  double growth = 2.0;
+
+  /// Throws invalid_argument_error on out-of-range parameters.
+  void validate() const;
+
+  /// 64-bit fingerprint of the policy, mixed into the result-store header:
+  /// results computed under different budgets never alias.
+  std::uint64_t fingerprint() const;
 };
 
-/// Per-point Monte-Carlo budget hook: returns the next batch size (0 =
-/// stop). Must be a pure function of its arguments -- the engine calls it
-/// concurrently from worker threads, and the determinism contract extends
-/// to the batch schedule it produces (service::adaptive_budget builds the
-/// CI-width stopping policy on this hook).
-using mc_budget_fn =
-    std::function<std::size_t(const sweep_request&, const mc_budget_status&)>;
+/// The batch the policy issues after `trials_done` trials whose running
+/// estimate has Wilson half-width `half_width` (z = 1.96, each trial's
+/// yield fraction one observation); 0 = stop. run() sizes every rung with
+/// it and additionally caps the batch at the point's remaining mc_trials.
+std::size_t next_batch(const adaptive_options& policy,
+                       std::size_t trials_done, double half_width);
 
-/// Persisted progress of a point's Monte-Carlo leg: the resumable
-/// accumulator moments (yield::mc_run_state::from_moments). By the resume
-/// contract the state at any trial total is bit-identical whether those
-/// trials ran in one process or across restarts, so seeding a run from a
-/// persisted point never changes the bits at a given total -- only where
-/// the evaluation starts paying.
-struct mc_resume_point {
-  std::size_t trials = 0;  ///< trials already consumed (the resume index)
-  double mean = 0.0;       ///< running nanowire-yield mean over `trials`
-  double m2 = 0.0;         ///< Welford M2 accumulator at `trials`
+/// A point's Monte-Carlo plan: its budget rule and starting state, as plain
+/// data (one per grid point).
+struct mc_plan {
+  /// Unset = fixed: the leg runs to exactly request.mc_trials. Set = the
+  /// leg stops at the first rung of this policy whose Wilson half-width is
+  /// <= its target_half_width, request.mc_trials capping the total.
+  std::optional<adaptive_options> adaptive;
+  /// Persisted progress to continue from (unset = trial zero). By the
+  /// yield::mc_run_state contract the state at any trial total is
+  /// bit-identical whether those trials ran here or in an earlier process,
+  /// so resuming only moves where the spend starts. request.mc_trials caps
+  /// the total, resumed trials included; a point already at or beyond
+  /// every budget decision re-emits its summary without running a trial.
+  std::optional<yield::mc_run_state> resume;
 };
-
-/// Per-point resume hook: the persisted progress to continue a point's
-/// Monte-Carlo leg from (nullopt = start cold). Must be a pure function of
-/// its argument -- the engine calls it concurrently from worker threads.
-/// The sweep service's cross-restart top-up feeds cached (mean, trials, M2)
-/// through this hook so a tighter CI target resumes instead of recomputing.
-using mc_resume_fn =
-    std::function<std::optional<mc_resume_point>(const sweep_request&)>;
 
 /// Engine run configuration.
 struct sweep_engine_options {
@@ -167,18 +197,6 @@ struct sweep_engine_options {
   std::size_t threads = 0;
   std::uint64_t seed = 1;
   yield::mc_mode mode = yield::mc_mode::operational;
-  /// When set, each point's Monte-Carlo leg runs in batches sized by this
-  /// hook (request.mc_trials stays the hard cap); unset = one fixed batch
-  /// of request.mc_trials. Batched and fixed runs over the same total are
-  /// bit-identical (yield::mc_run_state contract).
-  mc_budget_fn mc_budget;
-  /// When set, each point's Monte-Carlo leg starts from the returned
-  /// persisted state instead of trial zero (request.mc_trials stays the
-  /// hard cap on the *total*, resumed trials included). Resumed and cold
-  /// runs reaching the same total are bit-identical; a point already at or
-  /// beyond every budget decision re-emits its summary without running a
-  /// trial.
-  mc_resume_fn mc_resume;
 };
 
 /// One evaluated grid point.
@@ -186,7 +204,7 @@ struct sweep_engine_entry {
   sweep_request request;          ///< defaults resolved (nanowires, sigma)
   design_evaluation evaluation;   ///< analytic block always, MC when asked
   /// Trials actually consumed: request.mc_trials for fixed budgets, the
-  /// batch-schedule total under an mc_budget hook. Resumed trials count
+  /// rung where an adaptive budget stopped otherwise. Resumed trials count
   /// (this is the total the payload describes, not this run's spend).
   std::size_t mc_trials_used = 0;
   /// Welford M2 accumulator at mc_trials_used -- with (mean, trials) the
@@ -231,10 +249,15 @@ class sweep_engine {
 
   /// Evaluates every point of the grid; entries come back in grid order.
   /// Analytic results are deterministic; Monte-Carlo results depend only on
-  /// (options.seed, the resolved point parameters) -- see the header
-  /// comment for the full determinism contract.
+  /// (options.seed, the resolved point parameters, the point's mc_plan) --
+  /// see the header comment for the full determinism contract. `mc_plans`
+  /// holds one plan per point, or is empty for fixed cold budgets
+  /// everywhere; `check`, when set, is called before each design build and
+  /// each Monte-Carlo chunk (see cancel_check_fn).
   sweep_engine_report run(const std::vector<sweep_request>& points,
-                          const sweep_engine_options& options = {}) const;
+                          const sweep_engine_options& options = {},
+                          const std::vector<mc_plan>& mc_plans = {},
+                          const cancel_check_fn& check = {}) const;
   sweep_engine_report run(const sweep_axes& axes,
                           const sweep_engine_options& options = {}) const;
 
@@ -255,8 +278,10 @@ class sweep_engine {
   using plan_key = std::pair<std::size_t, std::size_t>;
 
   /// Returns the cached entry for the key, building (and caching) it and
-  /// its contact plan on a miss. Caller must hold mutex_.
-  const prepared_design& prepare_locked(const sweep_request& request) const;
+  /// its contact plan on a miss; `check` runs before any build. Caller must
+  /// hold mutex_.
+  const prepared_design& prepare_locked(const sweep_request& request,
+                                        const cancel_check_fn& check) const;
 
   crossbar::crossbar_spec spec_;
   device::technology tech_;

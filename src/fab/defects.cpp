@@ -57,13 +57,4 @@ void defect_disables_from_uniforms(std::size_t nanowires,
   disabled[nanowires - 1] = last_broken | prev;
 }
 
-void sample_defects_block(std::size_t nanowires, const defect_params& params,
-                          block_rng& stream, double* uniform_scratch,
-                          std::uint8_t* disabled) {
-  NWDEC_EXPECTS(nanowires >= 1, "need at least one nanowire");
-  params.validate();
-  stream.canonical_fill(uniform_scratch, defect_draw_count(nanowires));
-  defect_disables_from_uniforms(nanowires, params, uniform_scratch, disabled);
-}
-
 }  // namespace nwdec::fab

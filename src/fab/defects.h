@@ -87,13 +87,4 @@ void defect_disables_from_uniforms(std::size_t nanowires,
                                    const double* uniforms,
                                    std::uint8_t* disabled);
 
-/// Blocked form of sample_defects_into: one bulk canonical_fill of the
-/// defect_draw_count(nanowires) uniforms through `stream` (leaving the
-/// stream at the identical position), then the branch-free disable
-/// computation. `uniform_scratch` must hold defect_draw_count(nanowires)
-/// doubles; `disabled` holds `nanowires` flags.
-void sample_defects_block(std::size_t nanowires, const defect_params& params,
-                          block_rng& stream, double* uniform_scratch,
-                          std::uint8_t* disabled);
-
 }  // namespace nwdec::fab

@@ -3,14 +3,19 @@
 //
 // A fixed trial count wastes work on easy points (yield near 0 or 1, where
 // the estimate converges quickly) and underspends on points near the yield
-// cliff. This policy runs each point in geometrically growing batches
-// through the engine's mc_budget hook and stops as soon as the Wilson
-// score interval on the running yield estimate is narrower than a target
-// half-width (treating each trial's yield fraction as one observation --
-// conservative, because the trial, not the nanowire, is the independent
-// unit).
+// cliff. This policy runs each point in geometrically growing batches and
+// stops as soon as the Wilson score interval on the running yield estimate
+// is narrower than a target half-width (treating each trial's yield
+// fraction as one observation -- conservative, because the trial, not the
+// nanowire, is the independent unit).
 //
-// Determinism: the schedule is a pure function of (options, trials_done,
+// The policy is plain data. The sweep service hands each point of an
+// evaluation its own core::mc_plan -- this policy with the point's
+// target, or none for a fixed budget, plus any persisted progress to top
+// up from -- and core::sweep_engine walks the rungs itself with
+// next_batch, so one engine run serves points with different targets.
+//
+// Determinism: the schedule is a pure function of (policy, trials_done,
 // running estimate), the engine's resumable Monte-Carlo makes any batch
 // schedule bit-identical to one run of the same total, and the running
 // estimate itself is bit-identical across thread counts -- so adaptive
@@ -19,42 +24,13 @@
 // point that never converges stops there.
 #pragma once
 
-#include <cstddef>
-#include <cstdint>
-
 #include "core/sweep_engine.h"
 
 namespace nwdec::service {
 
-/// Tuning of the CI-width stopping policy.
-struct adaptive_options {
-  /// Stop once the Wilson half-width of the yield estimate is <= this.
-  double target_half_width = 0.02;
-  /// Trials of the first batch (also the minimum spend per point).
-  std::size_t initial_batch = 64;
-  /// Total-trials growth per round: convergence checks happen at the
-  /// absolute rungs ceil(initial_batch * growth^k). The rungs are a pure
-  /// function of this policy -- never of where a run started -- so a run
-  /// resumed from persisted progress (the service's cross-restart top-up)
-  /// visits exactly the rungs a cold run visits. Must be > 1.
-  double growth = 2.0;
-
-  /// Throws invalid_argument_error on out-of-range parameters.
-  void validate() const;
-
-  /// 64-bit fingerprint of the policy, mixed into the result-store header:
-  /// results computed under different budgets never alias.
-  std::uint64_t fingerprint() const;
-};
-
-/// The policy as an engine hook (see core::mc_budget_fn): pure function of
-/// its arguments, safe to call concurrently from engine workers.
-core::mc_budget_fn make_budget(const adaptive_options& options);
-
-/// The batch the policy issues at a given progress point; 0 = stop. Exposed
-/// for tests and for reasoning about schedules: the engine additionally
-/// caps the batch at the point's remaining mc_trials.
-std::size_t next_batch(const adaptive_options& options,
-                       const core::mc_budget_status& status);
+/// The policy's fields, validation, store-header fingerprint and rung
+/// schedule live with the engine that walks them.
+using core::adaptive_options;
+using core::next_batch;
 
 }  // namespace nwdec::service

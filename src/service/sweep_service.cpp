@@ -4,7 +4,6 @@
 #include <chrono>
 #include <map>
 #include <memory>
-#include <unordered_map>
 #include <utility>
 
 #include "util/cpu.h"
@@ -61,12 +60,10 @@ double stored_half_width(const stored_result& entry) {
                            trials);
 }
 
-core::mc_resume_point moments_of(const stored_result& entry) {
-  core::mc_resume_point resume;
-  resume.trials = entry.mc_trials_used;
-  resume.mean = entry.evaluation.mc_nanowire_yield;
-  resume.m2 = entry.mc_m2;
-  return resume;
+yield::mc_run_state moments_of(const stored_result& entry) {
+  return yield::mc_run_state::from_moments(entry.mc_trials_used,
+                                           entry.evaluation.mc_nanowire_yield,
+                                           entry.mc_m2);
 }
 
 // The serve decision of evaluate()'s pass 1 and of try_serve_cached's
@@ -113,8 +110,7 @@ sweep_service::sweep_service(crossbar::crossbar_spec spec,
   if (options_.adaptive.has_value()) options_.adaptive->validate();
   // The rung schedule of per-query min_half_width targets: the service's
   // adaptive policy when one is configured, the documented defaults
-  // otherwise. Budget hooks are built per evaluate() call (each distinct
-  // target is one engine run), never baked into engine_options_.
+  // otherwise. Each evaluate() gives every point its own budget from it.
   rung_policy_ = options_.adaptive.value_or(adaptive_options{});
 }
 
@@ -150,21 +146,17 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
   sweep_response response;
   response.points.resize(queries.size());
 
-  // One evaluation plan per distinct (fingerprint, target): what the
-  // engine must run and from which persisted state it starts. Duplicate
-  // queries within one call share a plan and therefore compute once.
-  struct eval_plan {
-    core::sweep_request request;
-    double target = 0.0;  ///< 0 = fixed-to-cap
-    std::optional<core::mc_resume_point> resume;
-    stored_result produced;
-  };
+  // One engine grid point per distinct (fingerprint, target), carrying its
+  // Monte-Carlo budget as data: duplicate queries within one call share a
+  // point and therefore compute once.
   struct slot_ref {
-    std::size_t plan = 0;
+    std::size_t point = 0;
     point_source source = point_source::computed;
   };
-  std::vector<eval_plan> plans;
-  std::map<std::pair<std::uint64_t, double>, std::size_t> plan_index;
+  std::vector<core::sweep_request> grid;
+  std::vector<core::mc_plan> mc_plans;
+  std::vector<double> targets;  ///< per grid point; 0 = fixed-to-cap
+  std::map<std::pair<std::uint64_t, double>, std::size_t> point_index;
   std::vector<std::optional<slot_ref>> pending(queries.size());
 
   // Pass 1 (locked): resolve + fingerprint every query, serve store
@@ -184,7 +176,7 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
 
       const std::shared_ptr<const stored_result> hit = store_.find(key);
       point_source source = point_source::computed;
-      std::optional<core::mc_resume_point> resume;
+      std::optional<yield::mc_run_state> resume;
       if (hit != nullptr) {
         if (entry_serves(*hit, resolved, target)) {
           (resolved.mc_trials == 0 ? counters.hits_cheap : counters.hits_mc)
@@ -210,124 +202,71 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
             .inc();
       }
       const auto [it, inserted] =
-          plan_index.emplace(std::make_pair(key, target), plans.size());
+          point_index.emplace(std::make_pair(key, target), grid.size());
       if (inserted) {
-        eval_plan plan;
-        plan.request = resolved;
-        plan.target = target;
+        core::mc_plan plan;
+        if (target > 0.0) {
+          plan.adaptive = rung_policy_;
+          plan.adaptive->target_half_width = target;
+        }
         plan.resume = resume;
-        plans.push_back(std::move(plan));
+        grid.push_back(resolved);
+        mc_plans.push_back(std::move(plan));
+        targets.push_back(target);
       }
       pending[k] = slot_ref{it->second, source};
     }
     trace->store_lookup_seconds = seconds_since(lookup_start);
   }
 
-  // Pass 2 (unlocked): one engine run per distinct budget target -- points
-  // shard across the engine's workers and share its intermediate caches;
-  // typical batches carry a single target and therefore a single run.
-  if (!plans.empty()) {
-    std::map<double, std::vector<std::size_t>> groups;
-    for (std::size_t p = 0; p < plans.size(); ++p) {
-      groups[plans[p].target].push_back(p);
+  // Pass 2 (unlocked): one engine run for every miss, whatever its budget
+  // -- points shard across the engine's workers and share its
+  // intermediate caches; the check rides into the run natively.
+  if (!grid.empty()) {
+    const auto run_start = std::chrono::steady_clock::now();
+    const core::sweep_engine_report report =
+        engine_.run(grid, engine_options_, mc_plans, check);
+    const double run_seconds = seconds_since(run_start);
+    trace->engine_seconds = run_seconds;
+    trace->engine_points = grid.size();
+    counters.engine_runs.inc();
+    counters.engine_seconds.observe(run_seconds);
+
+    std::vector<stored_result> fresh_results;
+    fresh_results.reserve(grid.size());
+    std::size_t trials_spent = 0;
+    for (std::size_t p = 0; p < grid.size(); ++p) {
+      const core::sweep_engine_entry& entry = report.entries[p];
+      // Trials SPENT by this run: a topped-up point's total includes the
+      // resumed trials, which were paid for (and counted) earlier.
+      const std::optional<yield::mc_run_state>& resumed = mc_plans[p].resume;
+      trials_spent += entry.mc_trials_used - (resumed ? resumed->trials() : 0);
+      fresh_results.push_back(
+          {entry.request, entry.evaluation, entry.mc_trials_used,
+           entry.mc_m2, entry.evaluation.has_monte_carlo ? targets[p] : 0.0});
     }
-    for (const auto& [target, members] : groups) {
-      if (check) check();  // between engine-run groups
-      core::sweep_engine_options run_options = engine_options_;
-      auto resumes = std::make_shared<
-          std::unordered_map<std::uint64_t, core::mc_resume_point>>();
-      std::vector<core::sweep_request> grid;
-      grid.reserve(members.size());
-      for (const std::size_t p : members) {
-        grid.push_back(plans[p].request);
-        if (plans[p].resume.has_value()) {
-          resumes->emplace(core::fingerprint(plans[p].request),
-                           *plans[p].resume);
-        }
-      }
-      if (!resumes->empty()) {
-        run_options.mc_resume = [resumes](const core::sweep_request& request)
-            -> std::optional<core::mc_resume_point> {
-          const auto found = resumes->find(core::fingerprint(request));
-          if (found == resumes->end()) return std::nullopt;
-          return found->second;
-        };
-      }
-      if (target > 0.0) {
-        adaptive_options policy = rung_policy_;
-        policy.target_half_width = target;
-        run_options.mc_budget = make_budget(policy);
-      }
-      if (check) {
-        // Cancellation granularity INSIDE an engine run: the check rides
-        // the Monte-Carlo budget hook, so it fires between batches of
-        // every running point. The hook contract asks for a pure
-        // function; a throwing check is compatible because the throw
-        // abandons the whole run -- no result that could have depended
-        // on it is ever observed. Fixed budgets get chunked into
-        // cancellation-sized batches with the total unchanged, which is
-        // bit-identical to the single fixed batch by the mc_run_state
-        // contract.
-        const core::mc_budget_fn inner = run_options.mc_budget;
-        run_options.mc_budget =
-            [check, inner](const core::sweep_request& request,
-                           const core::mc_budget_status& status) {
-              check();
-              if (inner) return inner(request, status);
-              if (status.trials_done >= request.mc_trials) {
-                return std::size_t{0};
-              }
-              return std::min<std::size_t>(
-                  request.mc_trials - status.trials_done, 65536);
-            };
-      }
-      const auto run_start = std::chrono::steady_clock::now();
-      const core::sweep_engine_report report =
-          engine_.run(grid, run_options);
-      const double run_seconds = seconds_since(run_start);
-      trace->engine_seconds += run_seconds;
-      trace->engine_points += members.size();
-      counters.engine_runs.inc();
-      counters.engine_seconds.observe(run_seconds);
-      std::size_t trials_spent = 0;
-      for (std::size_t m = 0; m < members.size(); ++m) {
-        eval_plan& plan = plans[members[m]];
-        const core::sweep_engine_entry& entry = report.entries[m];
-        // Trials SPENT by this run: a topped-up point's total includes the
-        // resumed trials, which were paid for (and counted) earlier.
-        trials_spent += entry.mc_trials_used -
-                        (plan.resume.has_value() ? plan.resume->trials : 0);
-        plan.produced.request = entry.request;
-        plan.produced.evaluation = entry.evaluation;
-        plan.produced.mc_trials_used = entry.mc_trials_used;
-        plan.produced.mc_m2 = entry.mc_m2;
-        plan.produced.budget_target =
-            entry.evaluation.has_monte_carlo ? target : 0.0;
-      }
-      trace->mc_trials += trials_spent;
-      if (trials_spent > 0) {
-        metrics::registry::global()
-            .get_counter("nwdec_mc_trials_total",
-                         std::string("path=\"") +
-                             cpu::simd_path_name(cpu::active_path()) + "\"")
-            .inc(trials_spent);
-      }
+    trace->mc_trials = trials_spent;
+    if (trials_spent > 0) {
+      metrics::registry::global()
+          .get_counter("nwdec_mc_trials_total",
+                       std::string("path=\"") +
+                           cpu::simd_path_name(cpu::active_path()) + "\"")
+          .inc(trials_spent);
     }
 
     // Pass 3 (locked): store the fresh results and fan them out to every
-    // requesting slot; one stored_result per plan is shared by the store
-    // and the response, so the two payloads can never drift apart.
+    // requesting slot; one stored_result per grid point is shared by the
+    // store and the response, so the two payloads can never drift apart.
     const auto insert_start = std::chrono::steady_clock::now();
     const std::lock_guard<std::mutex> lock(mutex_);
     std::vector<std::shared_ptr<const stored_result>> produced;
-    produced.reserve(plans.size());
-    for (eval_plan& plan : plans) {
-      produced.push_back(
-          make_stored_result(std::move(plan.produced)));
+    produced.reserve(grid.size());
+    for (std::size_t p = 0; p < grid.size(); ++p) {
+      produced.push_back(make_stored_result(std::move(fresh_results[p])));
       const stored_result& fresh = *produced.back();
-      const std::uint64_t key = core::fingerprint(plan.request);
+      const std::uint64_t key = core::fingerprint(grid[p]);
       // Keep a dominating resident entry: one with at least as many
-      // trials whose recorded target (when this plan ran one) is equal-
+      // trials whose recorded target (when this point ran one) is equal-
       // or-tighter can serve or resume everything this result can, so
       // overwriting it would throw away paid-for Monte-Carlo trials
       // (alternating loose/tight targets on one point would otherwise
@@ -336,9 +275,9 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
       const bool dominated =
           resident != nullptr &&
           resident->mc_trials_used >= fresh.mc_trials_used &&
-          (plan.target == 0.0 ||
+          (targets[p] == 0.0 ||
            (resident->budget_target > 0.0 &&
-            resident->budget_target <= plan.target));
+            resident->budget_target <= targets[p]));
       if (!dominated) {
         store_.insert(key, produced.back());
         // Write-ahead record per fresh insert; the sync below makes the
@@ -363,7 +302,7 @@ sweep_response sweep_service::evaluate(const std::vector<point_query>& queries,
     for (std::size_t k = 0; k < queries.size(); ++k) {
       if (!pending[k].has_value()) continue;
       const slot_ref& ref = *pending[k];
-      response.points[k] = {produced[ref.plan], ref.source};
+      response.points[k] = {produced[ref.point], ref.source};
       if (ref.source == point_source::topped_up) {
         ++response.topped_up;
         ++topped_up_total_;

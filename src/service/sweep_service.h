@@ -2,10 +2,12 @@
 // -- the serving substrate of the ROADMAP's long-running sweep daemon.
 //
 // evaluate() answers each requested point from the result store when it can
-// and batches every miss into as few engine runs as possible (one per
-// distinct budget target), so fresh points still shard across workers and
-// share the engine's intermediate caches. Because a point's result is a
-// pure function of (seed, mode, budget policy, target, fingerprint(point))
+// and hands every miss to ONE engine run, each point carrying its own
+// Monte-Carlo budget as data (core::mc_plan: fixed or a half-width target,
+// plus the persisted progress a top-up resumes from), so fresh points shard
+// across workers and share the engine's intermediate caches whatever their
+// targets. Because a point's result is a pure function of (seed, mode,
+// budget policy, target, fingerprint(point))
 // -- the engine's determinism contract plus the absolute-rung budget
 // schedule -- the ways a point can be answered (computed cold, memory
 // cache, recovered durable store, topped up from persisted progress) carry
@@ -29,7 +31,7 @@
 //     cache happens to hold.
 //
 // Every computed Monte-Carlo figure comes from one call path: the engine's
-// batches of yield::monte_carlo_yield_resume, which runs fixed blocks of
+// chunks of yield::monte_carlo_yield_resume, which runs fixed blocks of
 // yield::mc_default_block_size trials. service_options::threads is the
 // engine's thread budget (0 = util/parallel's thread_budget()); neither
 // it nor the block size is part of a result, so neither is in the cache
@@ -45,7 +47,6 @@
 
 #include <cstddef>
 #include <cstdint>
-#include <functional>
 #include <memory>
 #include <mutex>
 #include <optional>
@@ -88,12 +89,12 @@ enum class point_source {
   topped_up,  ///< resumed from the store's persisted (mean, trials, M2)
 };
 
-/// A cooperative cancellation/deadline check: called between units of
-/// work (evaluation start, each engine-run group, each Monte-Carlo batch
-/// of a running group); aborts the evaluation by THROWING (cancelled_error
-/// / timeout_error by convention -- any exception propagates out of
-/// evaluate()). An empty function disables checking.
-using cancel_check_fn = std::function<void()>;
+/// A cooperative cancellation/deadline check: called at evaluation start,
+/// then by the engine before each design build and each Monte-Carlo chunk
+/// (core::cancel_check_fn); aborts the evaluation by THROWING
+/// (cancelled_error / timeout_error by convention -- any exception
+/// propagates out of evaluate()). An empty function disables checking.
+using core::cancel_check_fn;
 
 /// Span timings of one evaluate() call, for request tracing (api::job
 /// carries these into `status` responses and the slow-request log).
@@ -101,7 +102,7 @@ using cancel_check_fn = std::function<void()>;
 /// it, so payloads stay pure functions of (config, request).
 struct eval_trace {
   double store_lookup_seconds = 0.0;  ///< pass 1: resolve + store probes
-  double engine_seconds = 0.0;        ///< pass 2: engine wall (all groups)
+  double engine_seconds = 0.0;        ///< pass 2: engine run wall
   double store_insert_seconds = 0.0;  ///< pass 3 total (includes the WAL)
   double wal_append_seconds = 0.0;    ///< WAL record appends + the fsync
   double wal_rotation_seconds = 0.0;  ///< snapshot compaction, when it ran
@@ -165,13 +166,11 @@ class sweep_service {
   core::sweep_request resolve(core::sweep_request request) const;
 
   /// Answers every query, serving store hits, topping up resumable
-  /// entries, and batching the rest into one engine run per distinct
-  /// budget target. Duplicate queries within one call are computed once.
+  /// entries, and computing the rest in one engine run (each point under
+  /// its own budget). Duplicate queries within one call are computed once.
   /// `check`, when set, is invoked between units of work and aborts the
-  /// evaluation by throwing (see cancel_check_fn); a fixed-budget run
-  /// under a check is chunked into cancellation-sized Monte-Carlo batches
-  /// -- bit-identical to the unchunked run by the mc_run_state contract.
-  /// `trace`, when set, receives the evaluation's span timings.
+  /// evaluation by throwing (see cancel_check_fn). `trace`, when set,
+  /// receives the evaluation's span timings.
   sweep_response evaluate(const std::vector<point_query>& queries,
                           const cancel_check_fn& check = {},
                           eval_trace* trace = nullptr);
@@ -229,7 +228,7 @@ class sweep_service {
   core::sweep_engine engine_;
   service_options options_;
   core::sweep_engine_options engine_options_;
-  adaptive_options rung_policy_;  ///< rung schedule for min_half_width > 0
+  adaptive_options rung_policy_;  ///< rung schedule for targets > 0
 
   mutable std::mutex mutex_;  ///< guards store_, durable_, topped_up_total_
   result_store store_;

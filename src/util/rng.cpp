@@ -107,135 +107,26 @@ void block_rng::replenish() {
   twist_to(std::min(mt_n, twisted_ + twist_chunk));
 }
 
-void block_rng::canonical_fill(double* out, std::size_t count,
-                               std::size_t stride) {
-  // Peek-convert upcoming state words in bulk windows: tempering and the
-  // canonical conversion are pure, so a window of words is converted
-  // through the dispatched vector kernel and the index advanced by the
-  // whole window -- the same values, in the same order, at the same final
-  // position as `count` canonical() calls.
-  const detail::rng_kernel_table& kernels = detail::active_rng_kernel_table();
-  constexpr std::size_t max_chunk = 64;
-  double unit[max_chunk];
-  std::size_t k = 0;
-  while (k < count) {
-    if (index_ >= mt_n) {
-      index_ = 0;
-      twisted_ = 0;
-    }
-    if (twisted_ <= index_) {
-      const std::size_t need = std::min(count - k, twist_chunk);
-      twist_to(std::min(mt_n, std::max(twisted_ + 1, index_ + need)));
-    }
-    const std::size_t window =
-        std::min({count - k, twisted_ - index_, max_chunk});
-    if (stride == 1) {
-      kernels.units_from_words(state_ + index_, window, out + k);
-    } else {
-      kernels.units_from_words(state_ + index_, window, unit);
-      for (std::size_t w = 0; w < window; ++w) {
-        out[(k + w) * stride] = unit[w];
-      }
-    }
-    index_ += window;
-    k += window;
-  }
-}
-
 void block_rng::standard_normal_fill(double* out, std::size_t count,
                                      std::size_t stride) {
   // The pinned Marsaglia polar rule (see the class comment): draw x then y,
   // reject until 0 < r2 <= 1, emit y*mult then x*mult. Expressions mirror
   // the std path exactly -- same operations in the same order -- so every
-  // emitted double is bit-identical to rng::standard_normal_fill.
-  //
-  // Structure: tempering and the canonical conversion are pure, so a run
-  // of upcoming draws is peek-converted in bulk through the dispatched
-  // vector kernels (util/rng_kernels.h) and the candidate pairs' rejection
-  // radii are precomputed; a compress-store pass then packs the accepted
-  // pairs densely, so the log/sqrt runs over a branchless dense array and
-  // only for pairs actually emitted. State advances by exactly the pairs
-  // consumed -- a draw-for-draw match with the one-at-a-time path,
-  // including the engine position the trial's tail draws continue from.
-  const detail::rng_kernel_table& kernels = detail::active_rng_kernel_table();
-  constexpr std::size_t max_words = 64;
-  double px[max_words / 2], py[max_words / 2], pr2[max_words / 2];
-  double ax[max_words / 2], ay[max_words / 2], ar2[max_words / 2];
-  double am[max_words / 2];
-  std::size_t apos[max_words / 2];
-
+  // emitted double, and the engine position afterwards, is bit-identical
+  // to rng::standard_normal_fill.
   std::size_t k = 0;
   while (k < count) {
-    // Peek/twist budget: expected draws for the remaining pairs (two per
-    // attempt, ~4/pi attempts per accepted pair) plus slack. An
-    // underestimate just loops again; without the cap the last window
-    // tempers and converts ~25 words the fill never consumes.
-    const std::size_t budget = ((count - k + 1) / 2) * 3 + 4;
-    if (index_ >= mt_n) {
-      index_ = 0;
-      twisted_ = 0;
-    }
-    if (twisted_ - index_ < 2 && twisted_ < mt_n) {
-      const std::size_t want =
-          std::min(index_ + budget, twisted_ + twist_chunk);
-      twist_to(std::min(mt_n, std::max(twisted_ + 2, want)));
-    }
-    if (twisted_ - index_ < 2) {
-      // A lone word at the end of the twist round: the pair spans the
-      // round boundary, so take it through the one-draw path (next()
-      // handles the wrap) and loop.
-      const double x = 2.0 * canonical() - 1.0;
-      const double y = 2.0 * canonical() - 1.0;
-      const double r2 = x * x + y * y;
-      if (r2 > 1.0 || r2 == 0.0) continue;
-      const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
-      out[k * stride] = y * mult;
+    const double x = 2.0 * canonical() - 1.0;
+    const double y = 2.0 * canonical() - 1.0;
+    const double r2 = x * x + y * y;
+    if (r2 > 1.0 || r2 == 0.0) continue;
+    const double mult = std::sqrt(-2.0 * std::log(r2) / r2);
+    out[k * stride] = y * mult;
+    ++k;
+    if (k < count) {
+      out[k * stride] = x * mult;
       ++k;
-      if (k < count) {
-        out[k * stride] = x * mult;
-        ++k;
-      }
-      continue;
     }
-
-    const std::size_t words = std::min(
-        {max_words, (twisted_ - index_) & ~std::size_t{1},
-         std::max<std::size_t>(2, budget & ~std::size_t{1})});
-    const std::size_t pairs = words / 2;
-    kernels.pairs_from_words(state_ + index_, pairs, px, py, pr2);
-
-    // Compress-store acceptance: every slot is written unconditionally and
-    // the acceptance test is just the cursor increment, so the loop is
-    // branch-free; apos remembers each accepted pair's window position for
-    // the consumption accounting below.
-    std::size_t accepted = 0;
-    for (std::size_t p = 0; p < pairs; ++p) {
-      const double r2 = pr2[p];
-      ax[accepted] = px[p];
-      ay[accepted] = py[p];
-      ar2[accepted] = r2;
-      apos[accepted] = p;
-      accepted += (r2 <= 1.0 && r2 != 0.0) ? 1 : 0;
-    }
-    const std::size_t need_pairs = (count - k + 1) / 2;
-    const std::size_t use = accepted < need_pairs ? accepted : need_pairs;
-    for (std::size_t a = 0; a < use; ++a) {
-      am[a] = std::sqrt(-2.0 * std::log(ar2[a]) / ar2[a]);
-    }
-    for (std::size_t a = 0; a < use; ++a) {
-      out[k * stride] = ay[a] * am[a];
-      ++k;
-      if (k < count) {
-        out[k * stride] = ax[a] * am[a];
-        ++k;
-      }
-    }
-    // The one-at-a-time path consumes pairs up to and including the one
-    // that completes `count` (trailing rejects stay unconsumed); when
-    // acceptance ran dry first it swept the whole window.
-    const std::size_t consumed =
-        use == need_pairs ? apos[use - 1] + 1 : pairs;
-    index_ += 2 * consumed;
   }
 }
 

@@ -189,15 +189,6 @@ class block_rng {
   /// p == 0 -- the draw count is part of the stream contract.
   bool bernoulli(double p) { return canonical() < p; }
 
-  /// Fills out[k * stride] for k in [0, count) with exactly the values
-  /// `count` canonical() calls would produce, leaving the engine at the
-  /// same position. The difference is wholesale: upcoming state words are
-  /// peek-tempered and converted in bulk through the runtime-dispatched
-  /// conversion kernels (util/rng_kernels.h), so consumers that need a run
-  /// of uniforms -- the blocked trial kernel's defect/discard tails -- pay
-  /// O(count) vector work instead of per-draw bookkeeping.
-  void canonical_fill(double* out, std::size_t count, std::size_t stride = 1);
-
   /// Fills deviate k at out[k * stride] for k in [0, count) with exactly
   /// the standard normals rng::standard_normal_fill would produce from the
   /// same engine state (see the class comment for the pinned polar rule),
@@ -208,9 +199,7 @@ class block_rng {
                             std::size_t stride = 1);
 
  private:
-  /// mt19937_64's output tempering (pure -- state is not advanced, which
-  /// lets the fill peek-temper a run of words and commit only what the
-  /// rejection loop actually consumed).
+  /// mt19937_64's output tempering.
   static std::uint64_t temper(std::uint64_t z) {
     z ^= (z >> 29) & 0x5555555555555555ULL;
     z ^= (z << 17) & 0x71d67fffeda60000ULL;

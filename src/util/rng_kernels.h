@@ -1,7 +1,7 @@
-// Internal per-path tables for the bulk deviate work behind block_rng and
+// Internal per-path tables for the bulk deviate work behind
 // standard_normal_block (util/rng.h): tempering a run of raw mt19937_64
-// state words and converting them to canonical doubles (and polar-pair
-// candidates) in bulk, and seeding and twisting many streams at once in a
+// state words and converting them to canonical doubles in bulk, and
+// seeding, twisting and forming polar pairs for many streams at once in a
 // lane-parallel (structure-of-arrays) state.
 //
 // Each table is produced by one translation unit compiled for one target
@@ -40,13 +40,6 @@ struct rng_kernel_table {
   void (*units_from_words)(const std::uint64_t* words, std::size_t count,
                            double* out);
 
-  /// Polar-pair candidates from 2 * `pairs` upcoming raw state words:
-  /// px[p] = 2*unit(words[2p]) - 1, py[p] = 2*unit(words[2p+1]) - 1,
-  /// pr2[p] = px^2 + py^2. Requires pairs <= 64 (the callers' peek window
-  /// bound; implementations may use fixed stack staging of that size).
-  void (*pairs_from_words)(const std::uint64_t* words, std::size_t pairs,
-                           double* px, double* py, double* pr2);
-
   /// Lane-parallel seeding: lane l of the lane-group state (layout above)
   /// receives std::mt19937_64{seeds[l]}'s initial 312 words, for l in
   /// [0, lanes). Lanes past `lanes` in the last group are seeded from 0
@@ -63,9 +56,11 @@ struct rng_kernel_table {
 
   /// Polar-pair candidates of one lane group and the deviates they emit:
   /// pair p of lane l comes from rows 2p and 2p + 1 of `rows` (row r, lane
-  /// l at rows[r * lane_group + l]) exactly as pairs_from_words forms its
-  /// x, y and r2. Bit p of accepted[l] is set iff that r2 is in (0, 1] --
-  /// exact, since r2 is pairs_from_words' -- and slot p * lane_group + l of
+  /// l at rows[r * lane_group + l]) as x = 2 * unit(row 2p) - 1, y = 2 *
+  /// unit(row 2p + 1) - 1 and r2 = x * x + y * y, unit being
+  /// units_from_words' conversion -- block_rng's polar expressions. Bit p
+  /// of accepted[l] is set iff that r2 is in (0, 1] -- exact, since x, y
+  /// and r2 are the scalar stream's -- and slot p * lane_group + l of
   /// zy and zx holds y * mult and x * mult, mult = sqrt(-2 log(r2) / r2).
   /// The multiplier is computed lane-parallel with a polynomial log on the
   /// AVX2 and AVX-512 paths (within deviate_rel_bound of libm's,

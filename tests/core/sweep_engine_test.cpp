@@ -328,65 +328,74 @@ TEST(SweepEngineFingerprintTest, SensitiveToEveryRequestField) {
   EXPECT_EQ(fingerprint(base), reference);
 }
 
-// ------------------------------------------------------------ budget hook
+// ---------------------------------------------- per-point budgets as data
 
-TEST(SweepEngineBudgetTest, HookControlsBatchesAndRecordsTrialsUsed) {
-  const sweep_engine engine = make_engine();
+sweep_request budget_point() {
   sweep_request request;
   request.design = {codes::code_type::balanced_gray, 2, 8};
   request.sigma_vt = 0.05;
   request.mc_trials = 1000;
-
-  sweep_engine_options fixed;
-  fixed.seed = 31;
-  const sweep_engine_report straight = engine.run({request}, fixed);
-  EXPECT_EQ(straight.entries[0].mc_trials_used, 1000u);
-
-  // A hook that issues 1000 trials as 4 x 250 must reproduce the fixed
-  // run bit for bit (the resumable-stream contract).
-  sweep_engine_options batched = fixed;
-  batched.mc_budget = [](const sweep_request&,
-                         const mc_budget_status& status) -> std::size_t {
-    return status.trials_done >= 1000 ? 0 : 250;
-  };
-  const sweep_engine_report quartered = engine.run({request}, batched);
-  EXPECT_EQ(quartered.entries[0].mc_trials_used, 1000u);
-  expect_entries_identical(straight.entries[0], quartered.entries[0]);
-
-  // A hook that refuses all trials leaves the point analytic-only.
-  sweep_engine_options refused = fixed;
-  refused.mc_budget = [](const sweep_request&, const mc_budget_status&) {
-    return std::size_t{0};
-  };
-  const sweep_engine_report none = engine.run({request}, refused);
-  EXPECT_FALSE(none.entries[0].evaluation.has_monte_carlo);
-  EXPECT_EQ(none.entries[0].mc_trials_used, 0u);
-
-  // The hook sees a coherent progress snapshot.
-  sweep_engine_options observed = fixed;
-  std::atomic<std::size_t> calls{0};
-  observed.mc_budget = [&calls](const sweep_request& seen,
-                                const mc_budget_status& status) -> std::size_t {
-    ++calls;
-    EXPECT_EQ(seen.mc_trials, 1000u);
-    if (status.trials_done == 0) {
-      EXPECT_EQ(status.wilson_half_width, 1.0);
-      return 100;
-    }
-    EXPECT_GT(status.nanowire_yield, 0.0);
-    EXPECT_LT(status.wilson_half_width, 1.0);
-    return 0;
-  };
-  const sweep_engine_report probed = engine.run({request}, observed);
-  EXPECT_EQ(probed.entries[0].mc_trials_used, 100u);
-  EXPECT_EQ(calls.load(), 2u);
+  return request;
 }
 
-TEST(SweepEngineBudgetTest, AThrowingHookPropagatesOutOfRun) {
-  // A hook that throws (the sweep service's cancellation check does) ends
-  // run() with that exception at every thread budget -- never a
-  // std::terminate from a worker thread.
+TEST(SweepEngineMcBudgetTest, ResumedRunsReproduceAFixedRunBitForBit) {
   const sweep_engine engine = make_engine();
+  const sweep_request request = budget_point();
+  sweep_engine_options options;
+  options.seed = 31;
+  const sweep_engine_report straight = engine.run({request}, options);
+  EXPECT_EQ(straight.entries[0].mc_trials_used, 1000u);
+
+  for (const std::size_t prefix : {250UL, 500UL, 750UL}) {
+    // An adaptive budget whose first rung is `prefix` and whose target
+    // every estimate meets stops there: the persisted progress a later
+    // request resumes from.
+    mc_plan stop_early;
+    stop_early.adaptive = adaptive_options{0.999, prefix, 2.0};
+    const sweep_engine_entry partial =
+        engine.run({request}, options, {stop_early}).entries[0];
+    ASSERT_EQ(partial.mc_trials_used, prefix);
+
+    mc_plan resumed;
+    resumed.resume = yield::mc_run_state::from_moments(
+        partial.mc_trials_used, partial.evaluation.mc_nanowire_yield,
+        partial.mc_m2);
+    const sweep_engine_entry topped =
+        engine.run({request}, options, {resumed}).entries[0];
+    EXPECT_EQ(topped.mc_trials_used, 1000u) << "prefix " << prefix;
+    EXPECT_EQ(topped.mc_m2, straight.entries[0].mc_m2) << "prefix " << prefix;
+    expect_entries_identical(straight.entries[0], topped);
+  }
+}
+
+TEST(SweepEngineMcBudgetTest, OneRunServesMixedBudgets) {
+  // Fixed and adaptive points in one grid land exactly where they land in
+  // runs of their own.
+  const sweep_engine engine = make_engine();
+  sweep_engine_options options;
+  options.seed = 7;
+  sweep_request cliff = budget_point();
+  cliff.sigma_vt = 0.08;
+  cliff.mc_trials = 20000;
+  const mc_plan fixed;
+  mc_plan loose, tight;
+  loose.adaptive = adaptive_options{0.05, 64, 2.0};
+  tight.adaptive = adaptive_options{0.02, 64, 2.0};
+
+  const sweep_engine_report mixed = engine.run(
+      {budget_point(), cliff, cliff}, options, {fixed, loose, tight});
+  const std::vector<std::pair<sweep_request, mc_plan>> alone = {
+      {budget_point(), fixed}, {cliff, loose}, {cliff, tight}};
+  for (std::size_t k = 0; k < alone.size(); ++k) {
+    const sweep_engine_entry single =
+        engine.run({alone[k].first}, options, {alone[k].second}).entries[0];
+    EXPECT_EQ(mixed.entries[k].mc_trials_used, single.mc_trials_used) << k;
+    expect_entries_identical(mixed.entries[k], single);
+  }
+  EXPECT_LT(mixed.entries[1].mc_trials_used, mixed.entries[2].mc_trials_used);
+}
+
+std::vector<sweep_request> check_grid() {
   std::vector<sweep_request> grid;
   for (const double sigma : {0.03, 0.05, 0.07, 0.09}) {
     sweep_request request;
@@ -395,17 +404,54 @@ TEST(SweepEngineBudgetTest, AThrowingHookPropagatesOutOfRun) {
     request.mc_trials = 200;
     grid.push_back(request);
   }
+  return grid;
+}
+
+TEST(SweepEngineMcBudgetTest, ACheckRunsBeforeEachBuildAndEachChunk) {
+  // Fresh engine, one design: a design build and a trial-context build in
+  // the prepare phase, then one chunk per Monte-Carlo point.
+  const sweep_engine engine = make_engine();
+  std::atomic<std::size_t> calls{0};
+  const cancel_check_fn count = [&calls] { ++calls; };
+  engine.run(check_grid(), {}, {}, count);
+  EXPECT_EQ(calls.load(), 2u + check_grid().size());
+  // Warm: no builds left, only the chunks.
+  calls = 0;
+  engine.run(check_grid(), {}, {}, count);
+  EXPECT_EQ(calls.load(), check_grid().size());
+}
+
+TEST(SweepEngineMcBudgetTest, AThrowingCheckPropagatesOutOfRun) {
+  // A check that throws (the job's cancellation check does) ends run()
+  // with that exception at every thread budget -- never a std::terminate
+  // from a worker thread. The engine is warm, so the throw comes from the
+  // Monte-Carlo chunks of the evaluation phase.
+  const sweep_engine engine = make_engine();
+  engine.run(check_grid());
+  const std::size_t built = engine.cache_stats().designs_built;
+  const cancel_check_fn stop = [] { throw std::runtime_error("stop"); };
   sweep_engine_options options;
-  options.mc_budget = [](const sweep_request& request,
-                         const mc_budget_status& status) -> std::size_t {
-    if (request.sigma_vt > 0.06) throw std::runtime_error("stop");
-    return status.trials_done >= request.mc_trials ? 0 : 50;
-  };
   for (const std::size_t threads : {1UL, 2UL, 8UL}) {
     options.threads = threads;
-    EXPECT_THROW(engine.run(grid, options), std::runtime_error)
+    EXPECT_THROW(engine.run(check_grid(), options, {}, stop),
+                 std::runtime_error)
         << "threads " << threads;
   }
+  EXPECT_EQ(engine.cache_stats().designs_built, built);
+}
+
+TEST(SweepEngineMcBudgetTest, ACheckThrowingFirstStopsBeforeAnyDesignBuild) {
+  const sweep_engine engine = make_engine();
+  const cancel_check_fn stop = [] { throw std::runtime_error("stop"); };
+  EXPECT_THROW(engine.run(check_grid(), {}, {}, stop), std::runtime_error);
+  EXPECT_EQ(engine.cache_stats().designs_built, 0u);
+  EXPECT_EQ(engine.cache_stats().plans_built, 0u);
+}
+
+TEST(SweepEngineMcBudgetTest, RejectsABudgetListOfTheWrongLength) {
+  const sweep_engine engine = make_engine();
+  EXPECT_THROW(engine.run(check_grid(), {}, {mc_plan{}}),
+               invalid_argument_error);
 }
 
 // ------------------------------------------------------------- serializers

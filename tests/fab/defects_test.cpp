@@ -71,10 +71,10 @@ TEST(DefectsTest, SampleIntoMatchesAllocatingForm) {
 }
 
 TEST(DefectsTest, BlockFormMatchesSampleDefectsInto) {
-  // The SoA disable computation must agree with defect_map::disables for
-  // every nanowire, consume the identical uniforms, and leave the stream at
-  // the identical position -- across sizes including the one-wire edge
-  // (no bridge draws at all).
+  // The blocked kernel's SoA disable computation, fed the canonicals the
+  // stream draws next, must agree with defect_map::disables for every
+  // nanowire -- across sizes including the one-wire edge (no bridge draws
+  // at all).
   for (const std::size_t nanowires : {1UL, 2UL, 5UL, 40UL}) {
     for (const defect_params params :
          {defect_params{0.2, 0.1}, defect_params{0.0, 0.0},
@@ -85,9 +85,10 @@ TEST(DefectsTest, BlockFormMatchesSampleDefectsInto) {
 
       block_rng blocked(77);
       std::vector<double> uniforms(defect_draw_count(nanowires));
+      for (double& u : uniforms) u = blocked.canonical();
       std::vector<std::uint8_t> disabled(nanowires, 2);
-      sample_defects_block(nanowires, params, blocked, uniforms.data(),
-                           disabled.data());
+      defect_disables_from_uniforms(nanowires, params, uniforms.data(),
+                                    disabled.data());
       for (std::size_t i = 0; i < nanowires; ++i) {
         ASSERT_EQ(expected.disables(i), disabled[i] != 0)
             << "n " << nanowires << " wire " << i;

@@ -25,6 +25,13 @@ core::sweep_request mc_point(double sigma, std::size_t cap) {
   return request;
 }
 
+// The engine's per-point plan for a point run under `policy`.
+core::mc_plan adaptive_plan(const adaptive_options& policy) {
+  core::mc_plan plan;
+  plan.adaptive = policy;
+  return plan;
+}
+
 TEST(AdaptiveBudgetTest, ValidatesOptions) {
   adaptive_options options;
   EXPECT_NO_THROW(options.validate());
@@ -44,19 +51,14 @@ TEST(AdaptiveBudgetTest, ScheduleGrowsGeometricallyUntilConverged) {
   options.growth = 2.0;
   options.target_half_width = 0.02;
 
-  core::mc_budget_status status;
-  EXPECT_EQ(next_batch(options, status), 64u);  // first batch
+  EXPECT_EQ(next_batch(options, 0, 1.0), 64u);  // first batch
 
-  status.trials_done = 64;
-  status.wilson_half_width = 0.1;  // not converged: grow the total to 128
-  EXPECT_EQ(next_batch(options, status), 64u);
-  status.trials_done = 128;
-  EXPECT_EQ(next_batch(options, status), 128u);
-  status.trials_done = 256;
-  EXPECT_EQ(next_batch(options, status), 256u);
+  // Not converged (half-width 0.1): grow the total to the next rung.
+  EXPECT_EQ(next_batch(options, 64, 0.1), 64u);
+  EXPECT_EQ(next_batch(options, 128, 0.1), 128u);
+  EXPECT_EQ(next_batch(options, 256, 0.1), 256u);
 
-  status.wilson_half_width = 0.02;  // at the target: stop
-  EXPECT_EQ(next_batch(options, status), 0u);
+  EXPECT_EQ(next_batch(options, 256, 0.02), 0u);  // at the target: stop
 }
 
 TEST(AdaptiveBudgetTest, FingerprintSeparatesPolicies) {
@@ -81,13 +83,13 @@ TEST(AdaptiveBudgetTest, StopsEarlyOnEasyPointsAndRecordsTrialsUsed) {
   options.threads = 1;
   adaptive_options adaptive;
   adaptive.target_half_width = 0.02;
-  options.mc_budget = make_budget(adaptive);
 
   // sigma = 0: every trial yields the full array, the estimate pins to a
   // degenerate proportion and converges at the first growth check.
   // sigma = 0.08 sits at the cliff where the variance is maximal.
   const core::sweep_engine_report report =
-      engine.run({mc_point(0.0, 100000), mc_point(0.08, 100000)}, options);
+      engine.run({mc_point(0.0, 100000), mc_point(0.08, 100000)}, options,
+                 {adaptive_plan(adaptive), adaptive_plan(adaptive)});
   const core::sweep_engine_entry& easy = report.entries[0];
   const core::sweep_engine_entry& hard = report.entries[1];
 
@@ -113,9 +115,8 @@ TEST(AdaptiveBudgetTest, CapsAtTheRequestedTrials) {
   options.seed = 11;
   adaptive_options adaptive;
   adaptive.target_half_width = 1e-6;  // unreachable: always hit the cap
-  options.mc_budget = make_budget(adaptive);
   const core::sweep_engine_report report =
-      engine.run({mc_point(0.05, 500)}, options);
+      engine.run({mc_point(0.05, 500)}, options, {adaptive_plan(adaptive)});
   EXPECT_EQ(report.entries[0].mc_trials_used, 500u);
 }
 
@@ -133,9 +134,8 @@ TEST(AdaptiveBudgetTest, BatchedRunsMatchFixedRunsBitIdentically) {
   adaptive.initial_batch = 64;
   adaptive.growth = 2.0;
   adaptive.target_half_width = 1e-9;  // never converges: 64+64+128+192=448
-  batched.mc_budget = make_budget(adaptive);
   const core::sweep_engine_report adaptive_run =
-      engine.run({mc_point(0.06, 448)}, batched);
+      engine.run({mc_point(0.06, 448)}, batched, {adaptive_plan(adaptive)});
 
   EXPECT_EQ(adaptive_run.entries[0].mc_trials_used, 448u);
   EXPECT_EQ(adaptive_run.entries[0].evaluation.mc_nanowire_yield,
@@ -154,9 +154,9 @@ TEST(AdaptiveBudgetTest, BitIdenticalAcrossThreadCounts) {
     core::sweep_engine_options options;
     options.seed = 5;
     options.threads = threads;
-    options.mc_budget = make_budget(adaptive);
     return engine.run({mc_point(0.05, 20000), mc_point(0.08, 20000)},
-                      options);
+                      options,
+                      {adaptive_plan(adaptive), adaptive_plan(adaptive)});
   };
   const core::sweep_engine_report one = run_with(1);
   const core::sweep_engine_report eight = run_with(8);

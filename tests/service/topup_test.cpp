@@ -12,6 +12,7 @@
 
 #include "service/sweep_service.h"
 #include "util/fs.h"
+#include "util/metrics.h"
 #include "util/stats.h"
 
 namespace nwdec::service {
@@ -206,6 +207,33 @@ TEST(TopUpTest, FlushPersistsBeforeClearing) {
   EXPECT_EQ(restored.stats().entries, 1u);
   const sweep_response warm = restored.evaluate({cliff_point(500)});
   EXPECT_EQ(warm.cached, 1u);
+}
+
+TEST(MixedBudgetTest, MixedTargetsAreOneEngineRunWithUnchangedPayloads) {
+  // A fixed point plus the cliff point under two targets: every budget
+  // rides one engine run as per-point data, and each payload is the one
+  // a cold single-target evaluation produces.
+  core::sweep_request fixed = cliff_point(500);
+  fixed.sigma_vt = 0.05;
+  const std::vector<point_query> queries = {
+      {fixed, 0.0}, {cliff_point(20000), 0.05}, {cliff_point(20000), 0.02}};
+
+  metrics::counter& runs =
+      metrics::registry::global().get_counter("nwdec_engine_runs_total");
+  sweep_service mixed_service = make_service();
+  const std::uint64_t runs_before = runs.value();
+  const sweep_response mixed = mixed_service.evaluate(queries);
+  EXPECT_EQ(runs.value() - runs_before, 1u);
+  EXPECT_EQ(mixed.computed, 3u);
+
+  sweep_response singles;
+  for (const point_query& query : queries) {
+    sweep_service cold = make_service();
+    singles.points.push_back(cold.evaluate({query}).points[0]);
+  }
+  EXPECT_EQ(to_json(mixed), to_json(singles));
+  EXPECT_LT(mixed.points[1].result->mc_trials_used,
+            mixed.points[2].result->mc_trials_used);
 }
 
 }  // namespace

@@ -240,68 +240,27 @@ TEST(BlockRngTest, StridedFillScattersTheSameDeviates) {
   EXPECT_EQ(contiguous.next(), strided.next());
 }
 
-TEST(BlockRngTest, CanonicalFillMatchesRepeatedCanonical) {
-  // The bulk conversion must reproduce canonical() value for value and
-  // position for position -- counts chosen to cover sub-chunk fills, exact
-  // chunk multiples, and fills spanning a twist-round boundary (the 312-word
-  // state array refills mid-fill at 313 and 1000).
-  for (const std::size_t count : {1UL, 3UL, 64UL, 65UL, 312UL, 313UL,
-                                  1000UL}) {
-    for (const std::uint64_t seed : {13ULL, 2009ULL}) {
-      block_rng reference(seed);
-      block_rng bulk(seed);
-      std::vector<double> expected(count), got(count);
-      for (std::size_t k = 0; k < count; ++k) {
-        expected[k] = reference.canonical();
-      }
-      bulk.canonical_fill(got.data(), count);
-      ASSERT_EQ(expected, got) << "count " << count << " seed " << seed;
-      EXPECT_EQ(reference.next(), bulk.next())
-          << "count " << count << " seed " << seed;
-    }
-  }
-}
-
-TEST(BlockRngTest, CanonicalFillStridedScattersTheSameUniforms) {
-  const std::size_t count = 77, stride = 5;
-  block_rng contiguous(91);
-  block_rng strided(91);
-  std::vector<double> flat(count);
-  std::vector<double> lanes(count * stride, -1.0);
-  contiguous.canonical_fill(flat.data(), count);
-  strided.canonical_fill(lanes.data(), count, stride);
-  for (std::size_t k = 0; k < count; ++k) {
-    ASSERT_EQ(flat[k], lanes[k * stride]) << "uniform " << k;
-  }
-  EXPECT_EQ(contiguous.next(), strided.next());
-}
-
 TEST(BlockRngTest, BulkFillsAreBitIdenticalAcrossSimdPaths) {
-  // The dispatch contract: whichever kernel table converts the words, the
-  // uniforms and deviates are the same bits. scalar is the oracle.
+  // The dispatch contract: whichever path is active, the exact stream's
+  // deviates are the same bits. scalar is the oracle.
   struct path_guard {
     cpu::simd_path saved = cpu::active_path();
     ~path_guard() { cpu::force_path(saved); }
   } restore;
   cpu::force_path(cpu::simd_path::scalar);
   const std::size_t count = 500;
-  block_rng u_oracle(42), n_oracle(42);
-  std::vector<double> uniforms(count), normals(count);
-  u_oracle.canonical_fill(uniforms.data(), count);
+  block_rng n_oracle(42);
+  std::vector<double> normals(count);
   n_oracle.standard_normal_fill(normals.data(), count);
-  // The word each stream sits on after the fill: equal next() output means
+  // The word the stream sits on after the fill: equal next() output means
   // equal consumption, so the paths agree on position, not just values.
-  const std::uint64_t u_next = u_oracle.next();
   const std::uint64_t n_next = n_oracle.next();
   for (const cpu::simd_path path : cpu::available_paths()) {
     cpu::force_path(path);
-    block_rng u(42), n(42);
-    std::vector<double> got_u(count), got_n(count);
-    u.canonical_fill(got_u.data(), count);
+    block_rng n(42);
+    std::vector<double> got_n(count);
     n.standard_normal_fill(got_n.data(), count);
-    ASSERT_EQ(uniforms, got_u) << cpu::simd_path_name(path);
     ASSERT_EQ(normals, got_n) << cpu::simd_path_name(path);
-    EXPECT_EQ(u_next, u.next()) << cpu::simd_path_name(path);
     EXPECT_EQ(n_next, n.next()) << cpu::simd_path_name(path);
   }
 }
@@ -473,8 +432,9 @@ std::uint64_t word_for_unit(std::uint64_t scaled) { return untemper(scaled); }
 
 // Runs 32 pairs x 8 lanes of words through `table`'s lane_pairs and
 // checks every accepted candidate's deviates against the exact expression
-// (block_rng's std::log multiplier on the exact x, y, r2 of the scalar
-// pairs_from_words). Returns the largest relative deviate error seen.
+// (block_rng's std::log multiplier on the exact x, y, r2 formed from the
+// scalar table's units_from_words). Returns the largest relative deviate
+// error seen.
 double check_lane_pairs(const detail::rng_kernel_table& table,
                         const detail::rng_kernel_table& exact,
                         const std::uint64_t* rows, std::size_t& accepted_seen,
@@ -490,8 +450,13 @@ double check_lane_pairs(const detail::rng_kernel_table& table,
       words[2 * p] = rows[2 * p * group + l];
       words[2 * p + 1] = rows[(2 * p + 1) * group + l];
     }
-    double px[pairs], py[pairs], pr2[pairs];
-    exact.pairs_from_words(words, pairs, px, py, pr2);
+    double unit[2 * pairs], px[pairs], py[pairs], pr2[pairs];
+    exact.units_from_words(words, 2 * pairs, unit);
+    for (std::size_t p = 0; p < pairs; ++p) {
+      px[p] = 2.0 * unit[2 * p] - 1.0;
+      py[p] = 2.0 * unit[2 * p + 1] - 1.0;
+      pr2[p] = px[p] * px[p] + py[p] * py[p];
+    }
     for (std::size_t p = 0; p < pairs; ++p) {
       const bool ok = pr2[p] <= 1.0 && pr2[p] != 0.0;
       if (ok != (((accepted[l] >> p) & 1u) != 0)) {
